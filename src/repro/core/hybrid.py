@@ -866,19 +866,15 @@ class HybridRunner:
         w = self.workload
         engine = self.engine
         slo = w.slo
-        latencies: List[float] = []
-        slo_violations = 0
+        # The empty float64 head keeps the dtype when no chunk was banked.
+        parts: List[object] = [np.empty(0)]
         for kind, data in self._chunks:
             if kind == "fluid":
-                for ramp in data:
-                    values = ramp.values()
-                    latencies.extend(values.tolist())
-                    slo_violations += int(np.count_nonzero(values > slo))
+                parts.extend(ramp.values() for ramp in data)
             else:
-                latencies.extend(data)
-                for sample in data:
-                    if sample > slo:
-                        slo_violations += 1
+                parts.append(data)
+        latencies = np.concatenate(parts)
+        slo_violations = int(np.count_nonzero(latencies > slo))
         # Fluid work totals come from integer job counts times the unit
         # work -- one multiplication, not a million-term float sum -- so
         # the oracle's conservation splits hold to the same slack as a

@@ -55,12 +55,11 @@ __all__ = ["run"]
 _REL_TOL = 1e-9
 
 
-def _p99(latencies: Sequence[float]) -> float:
-    if not latencies:
+def _p99(latencies: np.ndarray) -> float:
+    if not len(latencies):
         return 0.0
-    arr = np.asarray(latencies)
-    k = int(0.99 * (arr.size - 1))
-    return float(np.partition(arr, k)[k])
+    k = int(0.99 * (latencies.size - 1))
+    return float(np.partition(latencies, k)[k])
 
 
 def _close(a: float, b: float) -> bool:
@@ -79,8 +78,9 @@ def _matches(d, h) -> bool:
             return False
     if len(d.latencies) != len(h.latencies):
         return False
-    if d.latencies and not (
-        _close(statistics.fmean(d.latencies), statistics.fmean(h.latencies))
+    if len(d.latencies) and not (
+        _close(statistics.fmean(d.latencies.tolist()),
+               statistics.fmean(h.latencies.tolist()))
         and _close(_p99(d.latencies), _p99(h.latencies))
     ):
         return False
@@ -90,7 +90,8 @@ def _matches(d, h) -> bool:
 def _row(table: Table, workload: str, policy: str, outcome,
          engine: str, check: str) -> None:
     n = outcome.n_requests
-    mean = statistics.fmean(outcome.latencies) if outcome.latencies else 0.0
+    latencies = outcome.latencies
+    mean = statistics.fmean(latencies.tolist()) if len(latencies) else 0.0
     issued = outcome.issued_work
     table.add_row(
         workload,
@@ -98,7 +99,7 @@ def _row(table: Table, workload: str, policy: str, outcome,
         n,
         engine,
         round(mean, 6),
-        round(_p99(outcome.latencies), 6),
+        round(_p99(latencies), 6),
         round(100.0 * outcome.slo_violations / n, 4) if n else 0.0,
         round(100.0 * outcome.wasted_work / issued, 4) if issued else 0.0,
         check,

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..analysis.report import Table
 from ..core.system import System
 from ..policy import POLICIES, MitigationPolicy, make_policy
@@ -253,9 +255,14 @@ class Request:
         self.tried: Dict[str, int] = {}
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioOutcome:
-    """Everything one (scenario, policy) run produced, engine-audited."""
+    """Everything one (scenario, policy) run produced, engine-audited.
+
+    ``latencies`` is a 1-D C-contiguous float64 array (a list or any
+    sequence passed in is coerced once).  Outcomes compare by
+    :meth:`digest`, not by ``==``.
+    """
 
     workload: str
     family: str
@@ -263,7 +270,7 @@ class ScenarioOutcome:
     policy: str
     n_requests: int
     slo: float
-    latencies: List[float]
+    latencies: np.ndarray
     slo_violations: int
     issued_work: float
     completed_work: float
@@ -275,6 +282,9 @@ class ScenarioOutcome:
     failed_requests: int
     server_work: Dict[str, float]
     violations: List[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.latencies = np.ascontiguousarray(self.latencies, dtype=np.float64)
 
     @property
     def ok(self) -> bool:
@@ -290,13 +300,20 @@ class ScenarioOutcome:
         return self.slo_violations / self.n_requests if self.n_requests else 0.0
 
     def digest(self) -> str:
-        """SHA-256 over the full-precision run outcome (oracle identity)."""
+        """SHA-256 over the full-precision run outcome (oracle identity).
+
+        The canonical JSON header (identity, sample count, counters,
+        servers) is followed by the little-endian float64 bytes of
+        ``latencies``, so the digest is bitwise: one ulp, a sign of
+        zero or a reordering changes it.
+        """
+        samples = np.ascontiguousarray(self.latencies, dtype="<f8")
         payload = {
             "workload": self.workload,
             "family": self.family,
             "scenario_index": self.scenario_index,
             "policy": self.policy,
-            "latencies": self.latencies,
+            "samples": len(samples),
             "counters": [
                 self.issued_work, self.completed_work, self.claimed_work,
                 self.wasted_work, self.failed_work, self.outstanding_attempts,
@@ -306,7 +323,9 @@ class ScenarioOutcome:
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                           allow_nan=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        h = hashlib.sha256(blob.encode("utf-8"))
+        h.update(memoryview(samples))
+        return h.hexdigest()
 
 
 class CampaignEngine:
@@ -564,7 +583,7 @@ class CampaignEngine:
             policy=self.policy.name,
             n_requests=len(self.requests),
             slo=workload.slo,
-            latencies=list(self.recorder.samples),
+            latencies=self.recorder.samples,
             slo_violations=self.recorder.count_over(workload.slo),
             issued_work=self.issued_work,
             completed_work=self.completed_work,
@@ -781,8 +800,7 @@ def _score_cell(workload: str, family: str, policy: str,
                 outcomes: Sequence[ScenarioOutcome]) -> CellScore:
     recorder = LatencyRecorder(name="cell")
     for outcome in outcomes:
-        for latency in outcome.latencies:
-            recorder.record(latency)
+        recorder.record_many(outcome.latencies)
     summary = recorder.summary()
     requests = sum(o.n_requests for o in outcomes)
     slo_violations = sum(o.slo_violations for o in outcomes)
@@ -1190,7 +1208,7 @@ def run_soak(
         moments = StreamingMoments()
         p50 = P2Quantile(0.5)
         p99 = P2Quantile(0.99)
-        for latency in outcome.latencies:
+        for latency in outcome.latencies.tolist():
             moments.push(latency)
             p50.push(latency)
             p99.push(latency)

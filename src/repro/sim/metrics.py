@@ -29,6 +29,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .engine import Simulator
 
 __all__ = [
@@ -441,6 +443,24 @@ class LatencyRecorder:
                 estimator.push(latency)
             return
         self.samples.append(latency)
+        self._sorted = None
+
+    def record_many(self, values) -> None:
+        """Record a batch of latencies, in order, as a :meth:`record` loop would.
+
+        The negative-value check runs once over the whole batch and
+        raises the same error as :meth:`record` for the first negative
+        value, before anything is recorded.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        negative = np.flatnonzero(values < 0)
+        if negative.size:
+            raise ValueError(f"latency must be >= 0, got {float(values[negative[0]])}")
+        if self.streaming:
+            for latency in values.tolist():
+                self.record(latency)
+            return
+        self.samples.extend(values.tolist())
         self._sorted = None
 
     def _ordered(self) -> List[float]:

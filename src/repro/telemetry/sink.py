@@ -10,11 +10,11 @@ streaming statistics (:class:`~repro.sim.metrics.StreamingMoments` over
 completion durations and a :class:`~repro.sim.metrics.P2Quantile` p99)
 rolled as records stream through, written out once in the trace footer.
 
-Trace format (schema version 1), one JSON object per line, keys
+Trace format (schema version 2), one JSON object per line, keys
 sorted, no whitespace -- fully deterministic, so a re-run of the same
 recording is byte-identical (what ``replay --verify`` checks):
 
-``{"k":"header","schema":1,"format":"repro-trace","mode":...,"meta":...,
+``{"k":"header","schema":2,"format":"repro-trace","mode":...,"meta":...,
 "specs":...}``
     First line.  ``meta`` holds every parameter needed to regenerate
     the trace; ``specs`` maps the bundled/embedded scenario-spec names
@@ -28,7 +28,10 @@ recording is byte-identical (what ``replay --verify`` checks):
 ``{"k":"run-end","run":N,...}`` / ``{"k":"window",...}``
     Exact counters, the outcome digest, and the streaming statistics
     (``StreamingMoments``/``P2Quantile`` marker state, serialized
-    exactly) -- what replay rebuilds scorecards from.
+    exactly) -- what replay rebuilds scorecards from.  Version 2 carries
+    the byte digest (``ScenarioOutcome.digest``: sha256 of the JSON
+    header then the float64 latency bytes); version 1 hashed a JSON
+    latency list, so its ``digest`` values differ.
 ``{"k":"end","records":N,"subjects":...}``
     Footer: total record count and the per-subject rollups.  Its
     presence marks a cleanly closed trace.
@@ -54,7 +57,7 @@ __all__ = ["TRACE_SCHEMA_VERSION", "TRACE_FORMAT", "StreamingTraceSink", "dumps_
 #: (``tests/telemetry/test_golden_schema.py``) fails if the bytes the
 #: sink produces change while this stays put, and the reader refuses
 #: versions it does not know by name.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: Sanity tag in the header, so a random JSONL file is not mistaken for
 #: a trace.
@@ -215,7 +218,7 @@ class StreamingTraceSink:
         moments = StreamingMoments()
         p50 = P2Quantile(0.5)
         p99 = P2Quantile(0.99)
-        for latency in outcome.latencies:
+        for latency in outcome.latencies.tolist():
             moments.push(latency)
             p50.push(latency)
             p99.push(latency)

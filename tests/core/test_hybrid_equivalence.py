@@ -14,6 +14,7 @@ tier runs the one-family subset.
 
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.core.hybrid import (
@@ -42,7 +43,15 @@ def _close(a, b):
     return abs(a - b) <= _REL * max(abs(a), abs(b), 1e-30)
 
 
+def _assert_float64_vector(latencies):
+    assert isinstance(latencies, np.ndarray)
+    assert latencies.ndim == 1 and latencies.dtype == np.float64
+    assert latencies.flags.c_contiguous
+
+
 def _assert_equivalent(discrete, hybrid):
+    _assert_float64_vector(discrete.latencies)
+    _assert_float64_vector(hybrid.latencies)
     assert (discrete.n_requests, discrete.slo_violations,
             discrete.failed_requests) == (
         hybrid.n_requests, hybrid.slo_violations, hybrid.failed_requests
@@ -51,7 +60,7 @@ def _assert_equivalent(discrete, hybrid):
                   "wasted_work", "failed_work"):
         assert abs(getattr(discrete, field) - getattr(hybrid, field)) <= _REL, field
     assert len(discrete.latencies) == len(hybrid.latencies)
-    if discrete.latencies:
+    if len(discrete.latencies):
         assert _close(statistics.fmean(discrete.latencies),
                       statistics.fmean(hybrid.latencies))
         assert _close(_p99(discrete.latencies), _p99(hybrid.latencies))

@@ -7,6 +7,7 @@ state across runs -- and assert each invariant catches its culprit.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.faults.campaign import (
@@ -82,6 +83,10 @@ class TestPoliciesUnderTheOracle:
         assert outcome.violations == []
         assert outcome.unresolved_requests == 0
         assert len(outcome.latencies) == FAST.n_requests - outcome.failed_requests
+        latencies = outcome.latencies
+        assert isinstance(latencies, np.ndarray)
+        assert latencies.ndim == 1 and latencies.dtype == np.float64
+        assert latencies.flags.c_contiguous
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_rerun_is_byte_identical(self, policy):
@@ -99,6 +104,69 @@ class TestPoliciesUnderTheOracle:
     def test_make_policy_unknown_name(self):
         with pytest.raises(KeyError, match="carrier-pigeon"):
             make_policy("carrier-pigeon")
+
+
+class TestOutcomeDigest:
+    """The digest hashes the float64 bytes: bitwise, container-blind."""
+
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        scenario = generate_scenario(FAST, "magnitude", seed=7, index=0)
+        return run_scenario(FAST, scenario, "fixed-timeout")
+
+    def test_list_and_array_digest_alike(self, outcome):
+        as_list = replace(outcome, latencies=outcome.latencies.tolist())
+        assert isinstance(as_list.latencies, np.ndarray)
+        assert as_list.latencies.dtype == np.float64
+        assert as_list.digest() == outcome.digest()
+
+    def test_non_contiguous_input_is_coerced(self, outcome):
+        doubled = np.repeat(outcome.latencies, 2)[::2]
+        assert not doubled.flags.c_contiguous
+        strided = replace(outcome, latencies=doubled)
+        assert strided.latencies.flags.c_contiguous
+        assert strided.digest() == outcome.digest()
+
+    def test_one_ulp_anywhere_changes_the_digest(self, outcome):
+        base = outcome.digest()
+        for i in range(len(outcome.latencies)):
+            bumped = outcome.latencies.copy()
+            bumped[i] = np.nextafter(bumped[i], np.inf)
+            assert replace(outcome, latencies=bumped).digest() != base, i
+
+    def test_swapping_two_latencies_changes_the_digest(self, outcome):
+        latencies = outcome.latencies.copy()
+        i, j = 0, int(np.flatnonzero(latencies != latencies[0])[0])
+        latencies[[i, j]] = latencies[[j, i]]
+        assert replace(outcome, latencies=latencies).digest() != outcome.digest()
+
+    def test_negative_zero_changes_the_digest(self, outcome):
+        plus = replace(outcome, latencies=[0.0, 1.0])
+        minus = replace(outcome, latencies=[-0.0, 1.0])
+        assert plus.digest() != minus.digest()
+
+    def test_sample_count_is_hashed(self, outcome):
+        longer = np.append(outcome.latencies, 0.0)
+        assert replace(outcome, latencies=longer).digest() != outcome.digest()
+
+    @pytest.mark.parametrize("field", [
+        "issued_work", "completed_work", "claimed_work", "wasted_work",
+        "failed_work", "outstanding_attempts", "unresolved_requests",
+        "failed_requests",
+    ])
+    def test_every_counter_is_hashed(self, outcome, field):
+        value = getattr(outcome, field)
+        changed = replace(outcome, **{field: value + 1})
+        assert changed.digest() != outcome.digest()
+
+    def test_identity_and_servers_are_hashed(self, outcome):
+        base = outcome.digest()
+        assert replace(outcome, policy="hedged").digest() != base
+        assert replace(outcome, scenario_index=1).digest() != base
+        servers = dict(outcome.server_work)
+        name = sorted(servers)[0]
+        servers[name] = np.nextafter(servers[name], np.inf)
+        assert replace(outcome, server_work=servers).digest() != base
 
 
 class _BlackHolePolicy(MitigationPolicy):

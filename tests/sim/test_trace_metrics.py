@@ -1,5 +1,6 @@
 """Unit tests for tracing and metrics."""
 
+import numpy as np
 import pytest
 
 from repro.sim import (
@@ -199,6 +200,35 @@ class TestLatencyRecorder:
             rec.record(-1.0)
         with pytest.raises(ValueError):
             rec.quantile(1.5)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_record_many_matches_a_record_loop(self, streaming):
+        values = np.array([0.3, 0.1, 0.2, 0.0, 0.7, 0.1 + 0.2])
+        loop = LatencyRecorder(streaming=streaming)
+        for x in values.tolist():
+            loop.record(x)
+        batch = LatencyRecorder(streaming=streaming)
+        batch.record_many(values[:2])
+        batch.record_many(values[2:])
+        assert batch.summary() == loop.summary()
+        assert batch.samples == loop.samples
+        assert all(type(x) is float for x in batch.samples)
+
+    def test_record_many_accepts_a_list_and_invalidates_the_cache(self):
+        rec = LatencyRecorder()
+        rec.record_many([3.0, 1.0])
+        assert rec.quantile(1.0) == 3.0
+        rec.record_many([9.0])
+        assert rec.quantile(1.0) == 9.0
+
+    def test_record_many_rejects_negatives_like_record(self):
+        rec = LatencyRecorder()
+        with pytest.raises(ValueError) as single:
+            rec.record(-2.5)
+        with pytest.raises(ValueError) as batch:
+            rec.record_many(np.array([1.0, float("nan"), -2.5, -7.0]))
+        assert str(batch.value) == str(single.value)
+        assert len(rec) == 0
 
 
 class TestUtilizationMeter:

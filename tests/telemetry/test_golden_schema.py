@@ -1,13 +1,15 @@
-"""The trace schema is version-gated: bytes may not drift under version 1.
+"""The trace schema is version-gated: bytes may not drift under version 2.
 
-``tests/telemetry/data/golden_trace_v1.jsonl`` is a committed schema-v1
+``tests/telemetry/data/golden_trace_v2.jsonl`` is a committed schema-v2
 trace (a tiny deterministic campaign).  Regenerating the same campaign
 today must reproduce it *byte-for-byte*: any change to the line shapes,
 key names, float formatting, or record ordering is a schema change and
 must come with a ``TRACE_SCHEMA_VERSION`` bump plus a new golden file.
 The flip side of the gate is also pinned here: a reader handed a
 version it does not know must refuse it by name, through the API and
-through the ``replay`` CLI (exit code 2).
+through the ``replay`` CLI (exit code 2).  The superseded v1 golden
+(whose ``run-end`` digests hashed a JSON latency list) stays committed
+as the fixture for that refusal.
 """
 
 import json
@@ -23,7 +25,8 @@ from repro.telemetry import (
     replay_trace,
 )
 
-GOLDEN = Path(__file__).parent / "data" / "golden_trace_v1.jsonl"
+GOLDEN = Path(__file__).parent / "data" / "golden_trace_v2.jsonl"
+GOLDEN_V1 = Path(__file__).parent / "data" / "golden_trace_v1.jsonl"
 
 #: The exact parameters the golden file was recorded with.
 GOLDEN_PARAMS = dict(seed=3, workloads=("raid10",), families=("failstop",),
@@ -33,7 +36,7 @@ GOLDEN_PARAMS = dict(seed=3, workloads=("raid10",), families=("failstop",),
 
 class TestGoldenBytes:
     def test_schema_version_is_pinned(self):
-        assert TRACE_SCHEMA_VERSION == 1, (
+        assert TRACE_SCHEMA_VERSION == 2, (
             "TRACE_SCHEMA_VERSION moved: record a new golden trace as "
             f"tests/telemetry/data/golden_trace_v{TRACE_SCHEMA_VERSION}.jsonl "
             "and update this test's GOLDEN path"
@@ -56,7 +59,7 @@ class TestGoldenBytes:
         assert len(replay.runs) == 1 and replay.runs[0].complete
 
     def test_golden_line_shapes(self):
-        """Structural pin: the v1 discriminators and their key sets."""
+        """Structural pin: the v2 discriminators and their key sets."""
         lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
         kinds = [line["k"] for line in lines]
         assert kinds[0] == "header" and kinds[-1] == "end"
@@ -103,3 +106,26 @@ class TestVersionGate:
         assert main(["replay", str(GOLDEN)]) == 0
         out = capsys.readouterr().out
         assert "Replay: campaign trace" in out
+
+
+class TestV1Refused:
+    """Schema-v1 traces carry the old JSON-list digests: refused by name."""
+
+    def test_reader_refuses_v1_by_name(self):
+        with pytest.raises(TraceSchemaError) as excinfo:
+            read_trace(GOLDEN_V1)
+        message = str(excinfo.value)
+        assert "unsupported trace schema version 1 " in message
+        assert f"supports version {TRACE_SCHEMA_VERSION}" in message
+
+    def test_replay_refuses_v1_by_name(self):
+        with pytest.raises(TraceSchemaError, match="schema version 1 "):
+            replay_trace(GOLDEN_V1)
+
+    def test_replay_cli_refuses_v1_without_traceback(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["replay", str(GOLDEN_V1)]) == 2
+        captured = capsys.readouterr()
+        assert "unsupported trace schema version 1 " in captured.err
+        assert "Traceback" not in captured.err + captured.out
