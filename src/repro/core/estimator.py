@@ -48,7 +48,9 @@ class WindowedRateEstimator(RateEstimator):
 
     The estimate is total work over total duration in the window -- a
     work-weighted harmonic view, so one large slow request counts as much
-    as it should.
+    as it should.  Policies read the rate far more often than they
+    observe, so the value is cached and recomputed (the same sums, in
+    the same order) only after :meth:`observe` or :meth:`reset`.
     """
 
     def __init__(self, window: int = 8):
@@ -56,22 +58,26 @@ class WindowedRateEstimator(RateEstimator):
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self._samples: Deque[Tuple[float, float]] = deque(maxlen=window)
+        self._rate: Optional[float] = None
+        self._stale = False
 
     def observe(self, work: float, duration: float) -> None:
         self._validate(work, duration)
         self._samples.append((work, duration))
+        self._stale = True
 
     def rate(self) -> Optional[float]:
-        if not self._samples:
-            return None
-        total_work = sum(w for w, __ in self._samples)
-        total_time = sum(d for __, d in self._samples)
-        if total_time <= 0:
-            return float("inf")
-        return total_work / total_time
+        if self._stale:
+            self._stale = False
+            total_work = sum(w for w, __ in self._samples)
+            total_time = sum(d for __, d in self._samples)
+            self._rate = total_work / total_time if total_time > 0 else float("inf")
+        return self._rate
 
     def reset(self) -> None:
         self._samples.clear()
+        self._rate = None
+        self._stale = False
 
     def __len__(self) -> int:
         return len(self._samples)

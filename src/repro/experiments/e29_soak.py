@@ -11,8 +11,8 @@ mid-soak on mirror pair ``d0``/``d1`` under the ``no-mitigation``
 policy -- the fail-oblivious strawman, so the fault shows up in the
 latency tail instead of being routed around.
 
-What the table shows: the per-window and rolling scorecards (the
-PR-3/PR-7 streaming statistics, merged across trailing windows exactly
+What the table shows: the per-window and rolling scorecards (batch-folded
+moments and quantile sketches, merged across trailing windows exactly
 as a production dashboard would) stay flat through the quiet windows,
 then flag the onset window -- the ``flagged`` column is driven purely
 by the rolling SLO-violation count crossing zero.  The note reports
@@ -117,6 +117,6 @@ def run(
         f"stutter planted on mirror pair d0/d1 (factor {stutter_factor}, "
         f"{duration:.1f}s) under the no-mitigation policy.  roll_* columns "
         f"merge the trailing {rolling} windows via StreamingMoments.merge / "
-        f"P2Quantile.combine.  {detection}."
+        f"QuantileSketch.merge.  {detection}."
     )
     return table

@@ -28,6 +28,7 @@ running every scenario twice.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -39,7 +40,7 @@ import numpy as np
 from ..analysis.report import Table
 from ..core.system import System
 from ..policy import POLICIES, MitigationPolicy, make_policy
-from ..sim.metrics import LatencyRecorder, P2Quantile, StreamingMoments
+from ..sim.metrics import LatencyRecorder, QuantileSketch, StreamingMoments
 from .component import DegradableServer
 from .spec import PerformanceSpec
 
@@ -907,14 +908,15 @@ def run_campaign(
 
 @dataclass
 class SoakWindow:
-    """One soak window's scorecard: exact counters, streaming statistics.
+    """One soak window's scorecard: exact counters, batch-folded statistics.
 
-    ``moments``/``p50``/``p99`` are the window's latency distribution in
-    the PR-3 streaming form (O(1) memory per window); the ``rolling_*``
-    fields aggregate the last ``rolling`` windows via the lane-merge
-    operators (:meth:`~repro.sim.metrics.StreamingMoments.merge`,
-    :meth:`~repro.sim.metrics.P2Quantile.combine`), which is what a
-    production dashboard would alert on.
+    ``moments``/``sketch`` are the window's latency distribution in
+    batch-folded form (memory bounded by the sketch's occupied buckets,
+    not the request count); the ``rolling_*`` fields aggregate the last
+    ``rolling`` windows via the merge operators
+    (:meth:`~repro.sim.metrics.StreamingMoments.merge`,
+    :meth:`~repro.sim.metrics.QuantileSketch.merge`, the latter exact),
+    which is what a production dashboard would alert on.
     """
 
     index: int
@@ -927,8 +929,7 @@ class SoakWindow:
     issued_work: float
     wasted_work: float
     moments: StreamingMoments
-    p50: P2Quantile
-    p99: P2Quantile
+    sketch: QuantileSketch
     rolling_windows: int
     rolling_requests: int
     rolling_slo_violations: int
@@ -963,8 +964,7 @@ class SoakWindow:
             "issued_work": self.issued_work,
             "wasted_work": self.wasted_work,
             "moments": self.moments.to_dict(),
-            "p50": self.p50.to_dict(),
-            "p99": self.p99.to_dict(),
+            "sketch": self.sketch.to_dict(),
             "rolling": {
                 "windows": self.rolling_windows,
                 "requests": self.rolling_requests,
@@ -990,8 +990,7 @@ class SoakWindow:
             issued_work=float(payload["issued_work"]),
             wasted_work=float(payload["wasted_work"]),
             moments=StreamingMoments.from_dict(payload["moments"]),
-            p50=P2Quantile.from_dict(payload["p50"]),
-            p99=P2Quantile.from_dict(payload["p99"]),
+            sketch=QuantileSketch.from_dict(payload["sketch"]),
             rolling_windows=int(rolling["windows"]),
             rolling_requests=int(rolling["requests"]),
             rolling_slo_violations=int(rolling["slo_violations"]),
@@ -1071,7 +1070,7 @@ def soak_table(windows: Sequence[SoakWindow], title: str) -> Table:
         note=(
             "One row per soak window (each a fresh run over the window's "
             "virtual span); roll_* columns aggregate the trailing windows "
-            "via StreamingMoments.merge / P2Quantile.combine -- the "
+            "via StreamingMoments.merge / QuantileSketch.merge -- the "
             "rolling scorecard a production alert would watch."
         ),
     )
@@ -1082,7 +1081,7 @@ def soak_table(windows: Sequence[SoakWindow], title: str) -> Table:
             w.injectors,
             w.requests,
             w.moments.mean if w.moments.count else 0.0,
-            w.p99.value(),
+            w.sketch.quantile(0.99),
             100.0 * w.slo_fraction,
             w.rolling_p99,
             100.0 * w.rolling_slo_fraction,
@@ -1152,8 +1151,10 @@ def run_soak(
     mostly fluid.
 
     Memory is O(windows retained): with ``retain_windows=False`` each
-    window's scorecard is folded into the rolling aggregates (via the
-    PR-7 lane-merge operators) and streamed to ``sink`` (any
+    window's latencies are folded in two batch calls
+    (:meth:`~repro.sim.metrics.StreamingMoments.push_many`,
+    :meth:`~repro.sim.metrics.QuantileSketch.push_many`), its scorecard
+    is merged into the rolling aggregates and streamed to ``sink`` (any
     :class:`repro.telemetry.StreamingTraceSink`-shaped object), then
     dropped -- RSS stays flat as the virtual horizon grows, which
     ``scripts/perf_report.py --suite soak`` gates.
@@ -1205,20 +1206,15 @@ def run_soak(
             on_system = lambda system: system.attach_sink(sink)  # noqa: E731
         outcome = run_scenario(scaled, scenario, policy, check=check,
                                engine=engine, on_system=on_system)
-        moments = StreamingMoments()
-        p50 = P2Quantile(0.5)
-        p99 = P2Quantile(0.99)
-        for latency in outcome.latencies.tolist():
-            moments.push(latency)
-            p50.push(latency)
-            p99.push(latency)
+        moments = StreamingMoments().push_many(outcome.latencies)
+        sketch = QuantileSketch().push_many(outcome.latencies)
         window_violations = [f"window[{w}]: {v}" for v in outcome.violations]
-        recent.append((moments, p99, outcome.n_requests, outcome.slo_violations))
+        recent.append((moments, sketch, outcome.n_requests, outcome.slo_violations))
         rolling_acc = StreamingMoments()
         for m, __, __, __ in recent:
             rolling_acc.merge(m)
         rolling_mean = rolling_acc.mean if rolling_acc.count else 0.0
-        rolling_p99 = P2Quantile.combine([q for __, q, __, __ in recent])
+        rolling_p99 = QuantileSketch.merged([k for __, k, __, __ in recent]).quantile(0.99)
         score = SoakWindow(
             index=w,
             start=start,
@@ -1230,8 +1226,7 @@ def run_soak(
             issued_work=outcome.issued_work,
             wasted_work=outcome.wasted_work,
             moments=moments,
-            p50=p50,
-            p99=p99,
+            sketch=sketch,
             rolling_windows=len(recent),
             rolling_requests=sum(r for __, __, r, __ in recent),
             rolling_slo_violations=sum(v for __, __, __, v in recent),
@@ -1253,8 +1248,13 @@ def run_soak(
             windows.append(score)
         # Everything per-window (outcome, latency list, score) is now
         # folded into the aggregates above; dropping it here is what
-        # keeps RSS flat as the horizon grows.
-        del outcome, score, moments, p50, p99
+        # keeps RSS flat as the horizon grows.  The window's System is
+        # cyclic garbage (components, simulator and callbacks refer to
+        # each other), so collect it now: left to the collector's own
+        # schedule, several windows' worth piles up and the peak RSS
+        # creeps up with the horizon.
+        del outcome, score, moments, sketch
+        gc.collect()
     return SoakResult(
         seed=seed,
         workload=scaled.name,

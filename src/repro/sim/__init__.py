@@ -32,6 +32,7 @@ from .metrics import (
     LatencyRecorder,
     LatencySummary,
     P2Quantile,
+    QuantileSketch,
     StreamingMoments,
     ThroughputMeter,
     UtilizationMeter,
@@ -83,6 +84,7 @@ __all__ = [
     "AvailabilityMeter",
     "StreamingMoments",
     "P2Quantile",
+    "QuantileSketch",
     "SeedBatchRunner",
     "LaneProgram",
     "BatchResult",

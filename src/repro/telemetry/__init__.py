@@ -6,7 +6,8 @@ in this process"; this package answers the production questions --
 TelemetryBus record to schema-versioned JSONL with O(subjects) memory),
 "reconstruct it from the file alone" (:func:`replay_trace`), "is this
 damaged file salvageable" (:func:`read_trace` recovers the valid
-prefix of a crash-truncated trace, never raising), and "is this trace
+prefix of a crash-truncated trace, never raising; :func:`scan_trace`
+streams the same walk without keeping records), and "is this trace
 honest" (:func:`verify_trace` re-runs the embedded parameters and
 demands byte-for-byte identity).
 
@@ -14,7 +15,7 @@ Entry points: ``python -m repro replay <trace>`` and the ``--trace`` /
 ``--soak`` flags on ``python -m repro campaign``.
 """
 
-from .reader import TraceError, TraceRead, TraceSchemaError, read_trace
+from .reader import TraceError, TraceRead, TraceSchemaError, read_trace, scan_trace
 from .record import (
     TraceRecorder,
     VerifyResult,
@@ -36,6 +37,7 @@ __all__ = [
     "TraceSchemaError",
     "TraceRead",
     "read_trace",
+    "scan_trace",
     "RunSummary",
     "TraceReplay",
     "replay_trace",

@@ -2,14 +2,16 @@
 
 A trace that matters is one that survived a crash, which means the tail
 may hold half a line, a torn UTF-8 sequence, or arbitrary garbage from a
-reused block.  :func:`read_trace` therefore parses bytes, not lines: it
+reused block.  :func:`scan_trace` therefore parses bytes, not text: it
 walks newline-delimited segments from the start and accepts each one
 only if it decodes as UTF-8 AND parses as a JSON object carrying the
 ``"k"`` discriminator.  The first segment that fails -- or a trailing
 segment with no newline -- ends the valid prefix; everything before it
 is returned, the byte offset where validity ended is reported, and the
 reader **never raises** on truncation or garbage (the PR-5 ResultCache
-rule, applied to traces).
+rule, applied to traces).  :func:`scan_trace` hands each record to a
+callback and keeps none, so replay runs in memory independent of the
+trace's length; :func:`read_trace` is the same walk collecting them.
 
 Two conditions are errors rather than crash artifacts, because silently
 "recovering" from them would mis-read intact files:
@@ -23,13 +25,13 @@ Two conditions are errors rather than crash artifacts, because silently
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .sink import TRACE_FORMAT, TRACE_SCHEMA_VERSION
 
-__all__ = ["TraceError", "TraceSchemaError", "TraceRead", "read_trace"]
+__all__ = ["TraceError", "TraceSchemaError", "TraceRead", "read_trace", "scan_trace"]
 
 
 class TraceError(Exception):
@@ -90,49 +92,68 @@ def _parse_segment(segment: bytes) -> Optional[Dict[str, Any]]:
     return obj
 
 
+def scan_trace(path, on_record: Callable[[Dict[str, Any]], None]) -> TraceRead:
+    """Walk a trace line by line, handing each record to ``on_record``.
+
+    The streaming core of :func:`read_trace`: the same valid-prefix,
+    truncation and schema-gate rules, applied to a file read in binary
+    mode one line at a time, so memory stays O(longest line).  Every
+    parsed line after the header goes to ``on_record`` in file order and
+    is not kept; the returned :class:`TraceRead` has empty ``records``.
+    ``clean_close`` still means the last valid record was the footer.
+    """
+    result = TraceRead(path=str(path), header=None)
+    last_kind = None
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break  # a trailing segment with no newline is never valid
+            obj = _parse_segment(line[:-1])
+            if obj is None:
+                break
+            if result.header is None:
+                _check_header(path, obj)
+                result.header = obj
+            else:
+                on_record(obj)
+                last_kind = obj["k"]
+            result.bytes_valid += len(line)
+        fh.seek(0, os.SEEK_END)
+        result.file_bytes = fh.tell()
+    if result.bytes_valid < result.file_bytes:
+        result.truncated = True
+        result.truncated_at = result.bytes_valid
+    result.clean_close = not result.truncated and last_kind == "end"
+    return result
+
+
+def _check_header(path, obj: Dict[str, Any]) -> None:
+    """Raise unless ``obj`` is a header this reader supports."""
+    if obj.get("k") != "header" or obj.get("format") != TRACE_FORMAT:
+        raise TraceError(
+            f"{path}: not a repro trace (first line is "
+            f"{obj.get('k', 'unknown')!r}, expected a "
+            f"{TRACE_FORMAT!r} header)"
+        )
+    version = obj.get("schema")
+    if version != TRACE_SCHEMA_VERSION:
+        raise TraceSchemaError(
+            f"{path}: unsupported trace schema version {version!r} "
+            f"(this reader supports version {TRACE_SCHEMA_VERSION}); "
+            "refusing to guess at an unknown format"
+        )
+
+
 def read_trace(path) -> TraceRead:
     """Read a trace, recovering the valid prefix of a damaged file.
 
     Raises :class:`TraceSchemaError` when the header is intact but its
     ``schema`` is unknown, and :class:`TraceError` when the first line
     is intact but not a trace header.  Truncation and garbage never
-    raise; see the module docstring for the exact recovery rule.
+    raise; see the module docstring for the exact recovery rule.  This
+    is :func:`scan_trace` keeping every record.
     """
-    data = Path(path).read_bytes()
-    result = TraceRead(path=str(path), header=None, file_bytes=len(data))
-    pos = 0
-    while pos < len(data):
-        newline = data.find(b"\n", pos)
-        if newline < 0:
-            break  # a trailing segment with no newline is never valid
-        obj = _parse_segment(data[pos:newline])
-        if obj is None:
-            break
-        if result.header is None:
-            if obj.get("k") != "header" or obj.get("format") != TRACE_FORMAT:
-                raise TraceError(
-                    f"{path}: not a repro trace (first line is "
-                    f"{obj.get('k', 'unknown')!r}, expected a "
-                    f"{TRACE_FORMAT!r} header)"
-                )
-            version = obj.get("schema")
-            if version != TRACE_SCHEMA_VERSION:
-                raise TraceSchemaError(
-                    f"{path}: unsupported trace schema version {version!r} "
-                    f"(this reader supports version {TRACE_SCHEMA_VERSION}); "
-                    "refusing to guess at an unknown format"
-                )
-            result.header = obj
-        else:
-            result.records.append(obj)
-        pos = newline + 1
-        result.bytes_valid = pos
-    if result.bytes_valid < len(data):
-        result.truncated = True
-        result.truncated_at = result.bytes_valid
-    result.clean_close = (
-        not result.truncated
-        and bool(result.records)
-        and result.records[-1].get("k") == "end"
-    )
+    records: List[Dict[str, Any]] = []
+    result = scan_trace(path, records.append)
+    result.records = records
     return result

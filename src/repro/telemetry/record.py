@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..scenario.bundle import spec_paths
 from ..scenario.spec import ScenarioSpec, load_spec
-from .reader import read_trace
+from .reader import scan_trace
 from .sink import StreamingTraceSink
 
 __all__ = [
@@ -313,7 +313,9 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
     "the spec changed since this was recorded" is reported as itself
     rather than as a mystifying byte diff.
     """
-    read = read_trace(path)  # raises on non-trace / unknown schema
+    # Only the header and the truncation flags matter here.  Raises on
+    # a non-trace or unknown schema.
+    read = scan_trace(path, lambda record: None)
     reasons: List[str] = []
     if read.truncated:
         reasons.append(

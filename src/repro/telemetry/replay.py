@@ -9,8 +9,8 @@ traces -- no simulator, no scenario registry, just the file:
 * per-component **spec-violation timelines** from ``spec-violation``
   records;
 * a **scorecard** from the ``run-end`` / ``window`` summary records,
-  whose streaming statistics were serialized exactly and therefore
-  reproduce every mean/p50/p99 cell bit-for-bit;
+  whose moments and quantile sketches were serialized exactly and
+  therefore reproduce every mean/p50/p99 cell bit-for-bit;
 * an **integrity report**: truncation point, clean-close flag, and a
   cross-check of the streamed per-record counts against the footer
   rollups (a trace whose footer disagrees with its own body is
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.report import Table
-from ..sim.metrics import P2Quantile, StreamingMoments
+from ..sim.metrics import QuantileSketch, StreamingMoments
 from ..sim.trace import COMPLETION, SPEC_VIOLATION, STATE_CHANGE
-from .reader import TraceRead, read_trace
+from .reader import TraceRead, scan_trace
 
 __all__ = ["RunSummary", "TraceReplay", "replay_trace"]
 
@@ -53,8 +53,7 @@ class RunSummary:
     wasted_work: float = 0.0
     digest: str = ""
     moments: StreamingMoments = field(default_factory=StreamingMoments)
-    p50: P2Quantile = field(default_factory=lambda: P2Quantile(0.5))
-    p99: P2Quantile = field(default_factory=lambda: P2Quantile(0.99))
+    sketch: QuantileSketch = field(default_factory=QuantileSketch)
     oracle_violations: List[str] = field(default_factory=list)
     complete: bool = False  # saw the run-end record
 
@@ -120,8 +119,8 @@ class TraceReplay:
             ],
             note=(
                 "Reconstructed from the trace alone: counters and the "
-                "serialized streaming statistics in each run-end record "
-                "(exact), digest = the run's full-precision outcome "
+                "serialized moments and quantile sketch in each run-end "
+                "record (exact), digest = the run's full-precision outcome "
                 "identity.  Incomplete runs (crash before run-end) show "
                 "a '(partial)' digest."
             ),
@@ -135,8 +134,8 @@ class TraceReplay:
                 run.policy,
                 run.requests,
                 run.mean,
-                run.p50.value(),
-                run.p99.value(),
+                run.sketch.quantile(0.5),
+                run.sketch.quantile(0.99),
                 100.0 * run.slo_fraction,
                 100.0 * run.waste_fraction,
                 run.digest[:12] if run.complete else "(partial)",
@@ -192,16 +191,21 @@ class TraceReplay:
 def replay_trace(path) -> TraceReplay:
     """Reconstruct timelines + scorecard from a trace file alone.
 
-    Tolerates truncated traces (the valid prefix replays, the
-    truncation is reported); raises
+    Records are folded as :func:`~repro.telemetry.reader.scan_trace`
+    reads them and none are kept (``replay.read.records`` is empty), so
+    memory grows with the runs, windows and timelines rebuilt, not with
+    the trace.  Tolerates truncated traces (the valid prefix replays,
+    the truncation is reported); raises
     :class:`~repro.telemetry.reader.TraceSchemaError` on unknown schema
     versions and :class:`~repro.telemetry.reader.TraceError` on
     non-trace files, exactly like :func:`~repro.telemetry.reader.read_trace`.
     """
-    read = read_trace(path)
-    replay = TraceReplay(read=read)
+    from ..faults.campaign import SoakWindow
+
+    replay = TraceReplay(read=TraceRead(path=str(path), header=None))
     by_run: Dict[int, RunSummary] = {}
-    for record in read.records:
+
+    def on_record(record: Dict[str, Any]) -> None:
         k = record.get("k")
         if k == "rec":
             replay.records += 1
@@ -255,15 +259,11 @@ def replay_trace(path) -> TraceReplay:
             run.digest = record.get("digest", "")
             if "moments" in record:
                 run.moments = StreamingMoments.from_dict(record["moments"])
-            if "p50" in record:
-                run.p50 = P2Quantile.from_dict(record["p50"])
-            if "p99" in record:
-                run.p99 = P2Quantile.from_dict(record["p99"])
+            if "sketch" in record:
+                run.sketch = QuantileSketch.from_dict(record["sketch"])
             run.oracle_violations = list(record.get("oracle_violations", []))
             run.complete = True
         elif k == "window":
-            from ..faults.campaign import SoakWindow
-
             payload = {key: value for key, value in record.items() if key != "k"}
             replay.windows.append(SoakWindow.from_dict(payload))
         elif k == "end":
@@ -281,4 +281,6 @@ def replay_trace(path) -> TraceReplay:
                         f"{subject}: footer counts {footer} completions, "
                         f"{streamed} streamed"
                     )
+
+    replay.read = scan_trace(path, on_record)
     return replay

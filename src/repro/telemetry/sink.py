@@ -5,16 +5,18 @@ capturing a long campaign with a :class:`~repro.sim.trace.Tracer` means
 retaining every record in RAM.  :class:`StreamingTraceSink` is the
 production counterpart -- a bus tap (``System.attach_sink``) that writes
 each record to disk as one self-contained JSONL line and keeps only
-O(subjects) state in memory: per-subject record counts plus the PR-3
-streaming statistics (:class:`~repro.sim.metrics.StreamingMoments` over
-completion durations and a :class:`~repro.sim.metrics.P2Quantile` p99)
-rolled as records stream through, written out once in the trace footer.
+O(subjects + ``flush_lines``) state in memory: per-subject record
+counts plus batch-folded statistics over completion durations
+(:class:`~repro.sim.metrics.StreamingMoments` and a
+:class:`~repro.sim.metrics.QuantileSketch`; durations wait in a
+per-subject buffer and are folded at every flush), written out once in
+the trace footer.
 
-Trace format (schema version 2), one JSON object per line, keys
+Trace format (schema version 3), one JSON object per line, keys
 sorted, no whitespace -- fully deterministic, so a re-run of the same
 recording is byte-identical (what ``replay --verify`` checks):
 
-``{"k":"header","schema":2,"format":"repro-trace","mode":...,"meta":...,
+``{"k":"header","schema":3,"format":"repro-trace","mode":...,"meta":...,
 "specs":...}``
     First line.  ``meta`` holds every parameter needed to regenerate
     the trace; ``specs`` maps the bundled/embedded scenario-spec names
@@ -26,12 +28,15 @@ recording is byte-identical (what ``replay --verify`` checks):
     (:attr:`StreamingTraceSink.time_offset` + the record's run-local
     time, so soak windows share one time axis).
 ``{"k":"run-end","run":N,...}`` / ``{"k":"window",...}``
-    Exact counters, the outcome digest, and the streaming statistics
-    (``StreamingMoments``/``P2Quantile`` marker state, serialized
-    exactly) -- what replay rebuilds scorecards from.  Version 2 carries
-    the byte digest (``ScenarioOutcome.digest``: sha256 of the JSON
-    header then the float64 latency bytes); version 1 hashed a JSON
-    latency list, so its ``digest`` values differ.
+    Exact counters, the outcome digest, and the latency statistics
+    (``moments``: ``StreamingMoments`` state; ``sketch``: the
+    ``QuantileSketch``'s sparse bucket keys and counts plus exact
+    extremes; both serialized exactly) -- what replay rebuilds
+    scorecards from.  The digest is ``ScenarioOutcome.digest``: sha256
+    of the JSON header then the float64 latency bytes.  Version 2
+    carried ``p50``/``p99`` P² marker state where version 3 carries
+    ``sketch``; version 1 also hashed a JSON latency list, so its
+    ``digest`` values differ.
 ``{"k":"end","records":N,"subjects":...}``
     Footer: total record count and the per-subject rollups.  Its
     presence marks a cleanly closed trace.
@@ -48,7 +53,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, TextIO
 
-from ..sim.metrics import P2Quantile, StreamingMoments
+from ..sim.metrics import QuantileSketch, StreamingMoments
 from ..sim.trace import COMPLETION
 
 __all__ = ["TRACE_SCHEMA_VERSION", "TRACE_FORMAT", "StreamingTraceSink", "dumps_line"]
@@ -57,48 +62,60 @@ __all__ = ["TRACE_SCHEMA_VERSION", "TRACE_FORMAT", "StreamingTraceSink", "dumps_
 #: (``tests/telemetry/test_golden_schema.py``) fails if the bytes the
 #: sink produces change while this stays put, and the reader refuses
 #: versions it does not know by name.
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 #: Sanity tag in the header, so a random JSONL file is not mistaken for
 #: a trace.
 TRACE_FORMAT = "repro-trace"
 
 
-def dumps_line(payload: Dict[str, Any]) -> str:
-    """One canonical trace line (sorted keys, compact, ``\\n``-terminated).
+#: One shared canonical encoder (``json.dumps`` would build one per line).
+#: ``allow_nan`` stays on: empty streaming recorders carry
+#: ``Infinity``/``-Infinity`` extremes, and Python's reader accepts the
+#: literals back unchanged.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           allow_nan=True).encode
 
-    ``allow_nan`` stays on: empty streaming recorders carry
-    ``Infinity``/``-Infinity`` extremes, and Python's reader accepts
-    the literals back unchanged.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True) + "\n"
+
+def dumps_line(payload: Dict[str, Any]) -> str:
+    """One canonical trace line (sorted keys, compact, ``\\n``-terminated)."""
+    return _encode(payload) + "\n"
 
 
 class _SubjectStats:
-    """O(1)-memory rollup of one subject's record stream."""
+    """Bounded-memory rollup of one subject's record stream.
 
-    __slots__ = ("kinds", "completions", "p99")
+    Completion durations wait in ``pending`` until :meth:`fold` moves
+    them into the moments and the sketch in one batch each.
+    """
+
+    __slots__ = ("kinds", "completions", "sketch", "pending")
 
     def __init__(self):
         self.kinds: Dict[str, int] = {}
         self.completions = StreamingMoments()
-        self.p99 = P2Quantile(0.99)
+        self.sketch = QuantileSketch()
+        self.pending: List[float] = []
 
     def observe(self, kind: str, detail: Any) -> None:
         self.kinds[kind] = self.kinds.get(kind, 0) + 1
         if kind == COMPLETION:
             # Completion detail is (work, duration); the duration is
             # what detectors consume, so it is what the rollup tracks.
-            duration = float(detail[1])
-            self.completions.push(duration)
-            self.p99.push(duration)
+            self.pending.append(float(detail[1]))
+
+    def fold(self) -> None:
+        if self.pending:
+            self.completions.push_many(self.pending)
+            self.sketch.push_many(self.pending)
+            self.pending.clear()
 
     def to_dict(self) -> Dict[str, Any]:
+        self.fold()
         payload: Dict[str, Any] = {"kinds": self.kinds}
         if self.completions.count:
             payload["completions"] = self.completions.to_dict()
-            payload["p99"] = self.p99.to_dict()
+            payload["sketch"] = self.sketch.to_dict()
         return payload
 
 
@@ -110,7 +127,8 @@ class StreamingTraceSink:
     to a fresh system per window, bumping :attr:`time_offset` so the
     trace keeps one global time axis).  Memory is bounded: records go
     straight to the line buffer (flushed every ``flush_lines`` complete
-    lines) and only the per-subject streaming rollups are retained.
+    lines) and only the per-subject rollups are retained; each flush
+    also folds the completion durations buffered since the last one.
 
     Usable as a context manager; :meth:`close` flushes the buffer.  The
     caller owns the record/footer protocol (see
@@ -157,6 +175,8 @@ class StreamingTraceSink:
         half a line of the sink's own making.  (The OS may still tear
         the last block; the reader's valid-prefix recovery covers it.)
         """
+        for stats in self._stats.values():
+            stats.fold()
         if self._buffer and self._fh is not None:
             self._fh.write("".join(self._buffer))
             self._buffer.clear()
@@ -208,20 +228,13 @@ class StreamingTraceSink:
         self._write_line(payload)
 
     def write_run_end(self, run: int, outcome) -> None:
-        """Exact counters + streaming statistics for one finished run.
+        """Exact counters + batch-folded statistics for one finished run.
 
         ``outcome`` is a :class:`repro.faults.campaign.ScenarioOutcome`
-        (duck-typed).  The raw latency list is *not* written -- the
-        streaming forms are exact enough to rebuild every scorecard
-        column, and the outcome digest pins the full-precision identity.
+        (duck-typed).  The raw latencies are *not* written -- the
+        moments and the sketch rebuild every scorecard column, and the
+        outcome digest pins the full-precision identity.
         """
-        moments = StreamingMoments()
-        p50 = P2Quantile(0.5)
-        p99 = P2Quantile(0.99)
-        for latency in outcome.latencies.tolist():
-            moments.push(latency)
-            p50.push(latency)
-            p99.push(latency)
         self._write_line({
             "k": "run-end",
             "run": run,
@@ -239,9 +252,8 @@ class StreamingTraceSink:
             "wasted_work": outcome.wasted_work,
             "failed_work": outcome.failed_work,
             "digest": outcome.digest(),
-            "moments": moments.to_dict(),
-            "p50": p50.to_dict(),
-            "p99": p99.to_dict(),
+            "moments": StreamingMoments().push_many(outcome.latencies).to_dict(),
+            "sketch": QuantileSketch().push_many(outcome.latencies).to_dict(),
             "oracle_violations": list(outcome.violations),
         })
 
@@ -282,9 +294,7 @@ class StreamingTraceSink:
             stats = self._stats[record.subject] = _SubjectStats()
         stats.observe(record.kind, detail)
         if self._csv is not None:
-            detail_json = json.dumps(detail, sort_keys=True,
-                                     separators=(",", ":"), allow_nan=True)
-            quoted = '"' + detail_json.replace('"', '""') + '"'
+            quoted = '"' + _encode(detail).replace('"', '""') + '"'
             self._csv.write(f"{t!r},{record.kind},{record.subject},{quoted}\n")
 
     # -- lifecycle -------------------------------------------------------------

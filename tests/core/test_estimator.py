@@ -69,6 +69,43 @@ class TestWindowedRateEstimator:
         rates = [w / d for w, d in samples]
         assert min(rates) - 1e-9 <= est.rate() <= max(rates) + 1e-9
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("observe"),
+                    st.floats(min_value=0.1, max_value=100.0),
+                    st.floats(min_value=0.0, max_value=100.0),
+                ),
+                st.tuples(st.just("reset"), st.just(0.0), st.just(0.0)),
+                st.tuples(st.just("read"), st.just(0.0), st.just(0.0)),
+            ),
+            max_size=40,
+        ),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=100)
+    def test_cached_rate_equals_a_fresh_sum(self, ops, window):
+        """The cached rate is bit-identical to re-summing the window."""
+        est = WindowedRateEstimator(window=window)
+        kept = []
+        for op, work, duration in ops:
+            if op == "observe":
+                est.observe(work, duration)
+                kept = (kept + [(work, duration)])[-window:]
+            elif op == "reset":
+                est.reset()
+                kept = []
+            else:
+                est.rate()
+            if not kept:
+                fresh = None
+            else:
+                total_time = sum(d for __, d in kept)
+                fresh = (sum(w for w, __ in kept) / total_time
+                         if total_time > 0 else float("inf"))
+            assert est.rate() == fresh
+
 
 class TestEwmaRateEstimator:
     def test_first_sample_sets_estimate(self):

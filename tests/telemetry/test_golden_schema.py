@@ -1,15 +1,17 @@
-"""The trace schema is version-gated: bytes may not drift under version 2.
+"""The trace schema is version-gated: bytes may not drift under version 3.
 
-``tests/telemetry/data/golden_trace_v2.jsonl`` is a committed schema-v2
+``tests/telemetry/data/golden_trace_v3.jsonl`` is a committed schema-v3
 trace (a tiny deterministic campaign).  Regenerating the same campaign
 today must reproduce it *byte-for-byte*: any change to the line shapes,
 key names, float formatting, or record ordering is a schema change and
 must come with a ``TRACE_SCHEMA_VERSION`` bump plus a new golden file.
 The flip side of the gate is also pinned here: a reader handed a
 version it does not know must refuse it by name, through the API and
-through the ``replay`` CLI (exit code 2).  The superseded v1 golden
-(whose ``run-end`` digests hashed a JSON latency list) stays committed
-as the fixture for that refusal.
+through the ``replay`` CLI (exit code 2).  The superseded goldens stay
+committed as the fixtures for that refusal: v1 (whose ``run-end``
+digests hashed a JSON latency list) and v2 (whose ``run-end`` records
+and footer rollups carried P² marker state instead of a quantile
+sketch).
 """
 
 import json
@@ -23,9 +25,11 @@ from repro.telemetry import (
     read_trace,
     record_campaign,
     replay_trace,
+    scan_trace,
 )
 
-GOLDEN = Path(__file__).parent / "data" / "golden_trace_v2.jsonl"
+GOLDEN = Path(__file__).parent / "data" / "golden_trace_v3.jsonl"
+GOLDEN_V2 = Path(__file__).parent / "data" / "golden_trace_v2.jsonl"
 GOLDEN_V1 = Path(__file__).parent / "data" / "golden_trace_v1.jsonl"
 
 #: The exact parameters the golden file was recorded with.
@@ -36,7 +40,7 @@ GOLDEN_PARAMS = dict(seed=3, workloads=("raid10",), families=("failstop",),
 
 class TestGoldenBytes:
     def test_schema_version_is_pinned(self):
-        assert TRACE_SCHEMA_VERSION == 2, (
+        assert TRACE_SCHEMA_VERSION == 3, (
             "TRACE_SCHEMA_VERSION moved: record a new golden trace as "
             f"tests/telemetry/data/golden_trace_v{TRACE_SCHEMA_VERSION}.jsonl "
             "and update this test's GOLDEN path"
@@ -59,7 +63,7 @@ class TestGoldenBytes:
         assert len(replay.runs) == 1 and replay.runs[0].complete
 
     def test_golden_line_shapes(self):
-        """Structural pin: the v2 discriminators and their key sets."""
+        """Structural pin: the v3 discriminators and their key sets."""
         lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
         kinds = [line["k"] for line in lines]
         assert kinds[0] == "header" and kinds[-1] == "end"
@@ -71,10 +75,17 @@ class TestGoldenBytes:
         rec = next(line for line in lines if line["k"] == "rec")
         assert set(rec) == {"k", "t", "kind", "subject", "detail"}
         run_end = next(line for line in lines if line["k"] == "run-end")
-        assert {"run", "digest", "moments", "p50", "p99", "requests",
+        assert {"run", "digest", "moments", "sketch", "requests",
                 "slo_violations"} <= set(run_end)
+        assert not {"p50", "p99"} & set(run_end)
+        assert set(run_end["sketch"]) == {"keys", "counts", "min", "max"}
         end = lines[-1]
         assert set(end) == {"k", "records", "subjects"}
+        rollups = [stats for stats in end["subjects"].values()
+                   if "completions" in stats]
+        assert rollups, "the golden campaign streams completion records"
+        for stats in rollups:
+            assert set(stats) == {"kinds", "completions", "sketch"}
 
 
 class TestVersionGate:
@@ -128,4 +139,31 @@ class TestV1Refused:
         assert main(["replay", str(GOLDEN_V1)]) == 2
         captured = capsys.readouterr()
         assert "unsupported trace schema version 1 " in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+
+class TestV2Refused:
+    """Schema-v2 traces carry P² marker state, not sketches: refused by name."""
+
+    def test_reader_refuses_v2_by_name(self):
+        with pytest.raises(TraceSchemaError) as excinfo:
+            read_trace(GOLDEN_V2)
+        message = str(excinfo.value)
+        assert "unsupported trace schema version 2 " in message
+        assert f"supports version {TRACE_SCHEMA_VERSION}" in message
+
+    def test_scan_refuses_v2_by_name(self):
+        with pytest.raises(TraceSchemaError, match="schema version 2 "):
+            scan_trace(GOLDEN_V2, lambda record: None)
+
+    def test_replay_refuses_v2_by_name(self):
+        with pytest.raises(TraceSchemaError, match="schema version 2 "):
+            replay_trace(GOLDEN_V2)
+
+    def test_replay_cli_refuses_v2_without_traceback(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["replay", str(GOLDEN_V2)]) == 2
+        captured = capsys.readouterr()
+        assert "unsupported trace schema version 2 " in captured.err
         assert "Traceback" not in captured.err + captured.out

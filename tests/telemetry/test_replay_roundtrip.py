@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenario.generate import generate_spec
-from repro.sim.metrics import P2Quantile, StreamingMoments
+from repro.sim.metrics import QuantileSketch, StreamingMoments
 from repro.telemetry import record_spec_run, replay_trace, verify_trace
 
 #: Timer-free, so every generated spec is hybrid-bindable and the
@@ -21,13 +21,9 @@ from repro.telemetry import record_spec_run, replay_trace, verify_trace
 POLICY = "stutter-aware"
 
 
-def _streamed(latencies):
-    moments, p50, p99 = StreamingMoments(), P2Quantile(0.5), P2Quantile(0.99)
-    for latency in latencies:
-        moments.push(latency)
-        p50.push(latency)
-        p99.push(latency)
-    return moments, p50, p99
+def _folded(latencies):
+    return (StreamingMoments().push_many(latencies),
+            QuantileSketch().push_many(latencies))
 
 
 @settings(max_examples=8, deadline=None)
@@ -57,12 +53,11 @@ def test_recorded_spec_run_replays_exactly(tmp_path_factory, seed, index,
     assert run.wasted_work == outcome.wasted_work
     assert run.oracle_violations == list(outcome.violations)
 
-    # Streaming statistics: the serialized marker state is exact, so the
-    # replayed cells equal a fresh fold over the outcome's latencies.
-    moments, p50, p99 = _streamed(outcome.latencies)
+    # Latency statistics: the serialized moments and sketch are exact, so
+    # the replayed cells equal a fresh fold over the outcome's latencies.
+    moments, sketch = _folded(outcome.latencies)
     assert run.moments.to_dict() == moments.to_dict()
-    assert run.p50.to_dict() == p50.to_dict()
-    assert run.p99.to_dict() == p99.to_dict()
+    assert run.sketch.to_dict() == sketch.to_dict()
 
     # State timelines come from the trace's state-change records alone;
     # every subject named must belong to the spec's topology.

@@ -20,8 +20,8 @@ from repro.faults.campaign import (
     run_soak,
     WORKLOADS,
 )
-from repro.sim.metrics import P2Quantile, StreamingMoments
-from repro.telemetry import record_soak, replay_trace, verify_trace
+from repro.sim.metrics import QuantileSketch, StreamingMoments
+from repro.telemetry import read_trace, record_soak, replay_trace, verify_trace
 
 pytestmark = pytest.mark.soak
 
@@ -65,9 +65,9 @@ class TestWindowSemantics:
             for t in trailing:
                 acc.merge(t.moments)
             assert w.rolling_mean == pytest.approx(acc.mean)
-            assert w.rolling_p99 == pytest.approx(
-                P2Quantile.combine([t.p99 for t in trailing])
-            )
+            assert w.rolling_p99 == QuantileSketch.merged(
+                [t.sketch for t in trailing]
+            ).quantile(0.99)
 
     def test_windows_are_independent_reruns(self, soak):
         """Window 0 rerun alone reproduces its scorecard (fresh System)."""
@@ -161,11 +161,11 @@ class TestSoakTrace:
         record_soak(path, seed=11, n_windows=3, injectors_per_window=2,
                     n_requests=N_REQUESTS, engine="discrete",
                     retain_windows=False)
-        replay = replay_trace(path)
-        starts = [r.get("start") for r in replay.read.of_kind("run-start")]
+        read = read_trace(path)
+        starts = [r.get("start") for r in read.of_kind("run-start")]
         assert starts == sorted(starts) and starts[0] == 0.0
         # Records in later windows carry later absolute timestamps.
-        recs = replay.read.of_kind("rec")
+        recs = read.of_kind("rec")
         assert recs, "discrete soak should stream completion records"
         assert max(r["t"] for r in recs) > starts[-1]
 

@@ -16,6 +16,7 @@ from repro.telemetry import (
     read_trace,
     record_campaign,
     replay_trace,
+    scan_trace,
 )
 
 
@@ -33,6 +34,19 @@ def trace_file(tmp_path):
     return tmp_path / "cut.jsonl"
 
 
+def _assert_scan_agrees(path):
+    """scan_trace hands over exactly what read_trace keeps, same flags."""
+    read = read_trace(path)
+    handed = []
+    scanned = scan_trace(path, handed.append)
+    assert scanned.records == []
+    assert handed == read.records
+    for attr in ("header", "file_bytes", "bytes_valid", "truncated",
+                 "truncated_at", "clean_close"):
+        assert getattr(scanned, attr) == getattr(read, attr), attr
+    return read
+
+
 def _line_offsets(blob):
     """Byte offset of the end of each complete line."""
     offsets, pos = [], 0
@@ -47,7 +61,7 @@ def _line_offsets(blob):
 class TestEveryByteOffset:
     def test_whole_file_reads_clean(self, trace_bytes, trace_file):
         trace_file.write_bytes(trace_bytes)
-        read = read_trace(trace_file)
+        read = _assert_scan_agrees(trace_file)
         assert read.clean_close and not read.truncated
         assert read.bytes_valid == len(trace_bytes)
         assert read.records[-1]["k"] == "end"
@@ -61,7 +75,7 @@ class TestEveryByteOffset:
         full = read_trace(trace_file)
         for cut in range(len(trace_bytes)):
             trace_file.write_bytes(trace_bytes[:cut])
-            read = read_trace(trace_file)  # must never raise
+            read = _assert_scan_agrees(trace_file)  # must never raise
             # The valid prefix ends at the last whole line before the cut.
             expected_valid = max([o for o in line_ends if o <= cut], default=0)
             assert read.bytes_valid == expected_valid, f"cut={cut}"
@@ -97,10 +111,18 @@ class TestEveryByteOffset:
         assert "(partial)" in replay.scorecard().render()
 
 
+    def test_replay_keeps_no_records(self, trace_bytes, trace_file):
+        trace_file.write_bytes(trace_bytes)
+        replay = replay_trace(trace_file)
+        assert replay.read.records == []
+        assert replay.read.clean_close and replay.consistent
+        assert replay.records == len(read_trace(trace_file).of_kind("rec"))
+
+
 class TestGarbageTails:
     def test_non_utf8_tail_is_a_crash_artifact(self, trace_bytes, trace_file):
         trace_file.write_bytes(trace_bytes + b"\xff\xfe\x00garbage")
-        read = read_trace(trace_file)
+        read = _assert_scan_agrees(trace_file)
         assert read.truncated and read.truncated_at == len(trace_bytes)
         assert read.clean_close is False
         assert read.records[-1]["k"] == "end"
@@ -108,7 +130,7 @@ class TestGarbageTails:
     def test_non_utf8_tail_with_newlines_still_stops(self, trace_bytes,
                                                      trace_file):
         trace_file.write_bytes(trace_bytes + b"\xff\xfe\n\xff\xfe\n")
-        read = read_trace(trace_file)
+        read = _assert_scan_agrees(trace_file)
         assert read.truncated and read.truncated_at == len(trace_bytes)
 
     def test_garbage_mid_file_ends_the_valid_prefix(self, trace_bytes,
@@ -118,12 +140,12 @@ class TestGarbageTails:
         trace_file.write_bytes(
             trace_bytes[:cut] + b"{ not json\n" + trace_bytes[cut:]
         )
-        read = read_trace(trace_file)
+        read = _assert_scan_agrees(trace_file)
         assert read.truncated and read.truncated_at == cut
 
     def test_empty_file_is_truncation_not_an_error(self, trace_file):
         trace_file.write_bytes(b"")
-        read = read_trace(trace_file)
+        read = _assert_scan_agrees(trace_file)
         assert read.header is None and not read.records
         assert not read.clean_close
 
