@@ -245,20 +245,21 @@ def _split_ramps(segments, n: int):
 
 @contextmanager
 def _zero_queue_probe(engine):
-    """Temporarily shadow ``engine.queue_depth`` with the steady-state zero.
+    """Make the engine report every backlog as the steady-state zero.
 
     Route probing asks the policy to pick as if every queue were empty
     (transient residuals at a window close are gone before any fluid
-    arrival lands).  The shadow must never outlive the probe: if a
-    policy ``pick`` raises, a leaked instance attribute would silently
-    zero every later routing decision in the run -- so it is removed in
+    arrival lands).  ``engine.zero_queues`` is read by both
+    ``queue_depth`` and ``pick_candidate``, and must never outlive the
+    probe: if a policy ``pick`` raises, a latched flag would silently
+    zero every later routing decision in the run -- so it is cleared in
     a ``finally`` regardless of how the probe exits.
     """
-    engine.queue_depth = lambda name: 0  # instance attr shadows the method
+    engine.zero_queues = True
     try:
         yield
     finally:
-        del engine.queue_depth
+        engine.zero_queues = False
 
 
 class HybridRunner:
@@ -841,7 +842,7 @@ class HybridRunner:
         so the policy's choice is the same for every arrival; probing
         once per group captures it exactly.  Residual jobs still
         draining at a window close would show as transient depth, so the
-        probe shadows ``queue_depth`` with the steady-state value (zero)
+        probe reads every queue at the steady-state value (zero)
         -- the close condition guarantees the residual is gone before
         any fluid arrival actually reaches the member.
         """

@@ -32,6 +32,7 @@ import gc
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -40,6 +41,7 @@ import numpy as np
 from ..analysis.report import Table
 from ..core.system import System
 from ..policy import POLICIES, MitigationPolicy, make_policy
+from ..sim.engine import Callback
 from ..sim.metrics import LatencyRecorder, QuantileSketch, StreamingMoments
 from .component import DegradableServer
 from .spec import PerformanceSpec
@@ -364,13 +366,23 @@ class CampaignEngine:
         #: (claimed or given up).  The hybrid runner uses this to decide
         #: when a discrete window has gone quiescent.
         self.on_request_resolved: Optional[Callable[[Request], None]] = None
+        #: Member name -> component, resolved once: the request path reads
+        #: this table, never the registry.
+        self._members: Dict[str, DegradableServer] = {
+            name: system.components.get(name)
+            for group in self.groups for name in group
+        }
+        #: While True, :meth:`queue_depth` and :meth:`pick_candidate` see
+        #: every backlog as zero.  The hybrid runner's route probe sets it
+        #: to ask the policy for its steady-state choice.
+        self.zero_queues = False
         policy.bind(self)
 
     # -- surface the policies program against --------------------------------------
 
     @property
     def now(self) -> float:
-        return self.sim.now
+        return self.sim._now
 
     @property
     def expected_service(self) -> float:
@@ -381,47 +393,55 @@ class CampaignEngine:
         return self.workload.rate
 
     def call_later(self, delay: float, fn, *args) -> None:
-        self.sim.call_later(delay, fn, *args)
+        Callback(self.sim, delay, fn, args)
 
     def component_names(self) -> List[str]:
         return [name for group in self.groups for name in group]
 
     def queue_depth(self, name: str) -> int:
         """Backlog on one member: queued jobs plus the one in service."""
-        component = self.system.components.get(name)
-        return component.queue_length + (1 if component.busy else 0)
+        if self.zero_queues:
+            return 0
+        return self._members[name].backlog
 
     def live_candidates(self, request: Request) -> List[str]:
-        return [
-            name for name in request.group
-            if not self.system.components.get(name).stopped
-        ]
+        members = self._members
+        return [name for name in request.group if not members[name].stopped]
 
     def pick_candidate(self, request: Request) -> Optional[str]:
-        """Default routing: untried first, then shortest queue, then name."""
-        live = self.live_candidates(request)
-        if not live:
-            return None
-        return min(
-            live,
-            key=lambda name: (
-                request.tried.get(name, 0), self.queue_depth(name), name,
-            ),
-        )
+        """Default routing: untried first, then shortest queue, then name.
+
+        One pass over the group keeping the least ``(tried, depth, name)``
+        key; None when every member has fail-stopped.
+        """
+        members = self._members
+        tried = request.tried
+        zero = self.zero_queues
+        best = best_key = None
+        for name in request.group:
+            component = members[name]
+            if component.stopped:
+                continue
+            key = (tried.get(name, 0), 0 if zero else component.backlog, name)
+            if best_key is None or key < best_key:
+                best = name
+                best_key = key
+        return best
 
     def attempt(self, request: Request, name: str) -> bool:
         """Issue one attempt on ``name``; False if it already fail-stopped."""
-        component = self.system.components.get(name)
+        component = self._members[name]
         if component.stopped:
             return False
         request.attempts += 1
         request.outstanding += 1
-        request.tried[name] = request.tried.get(name, 0) + 1
-        self.issued_work += request.work
-        started = self.sim.now
-        event = component.submit(request.work)
+        tried = request.tried
+        tried[name] = tried.get(name, 0) + 1
+        work = request.work
+        self.issued_work += work
+        event = component.submit(work)
         event.callbacks.append(
-            lambda ev: self._on_attempt(request, name, started, ev)
+            partial(self._on_attempt, request, name, self.sim._now)
         )
         return True
 
@@ -453,7 +473,7 @@ class CampaignEngine:
             submitted_at=submitted_at,
         )
         self.requests.append(request)
-        component = self.system.components.get(name)
+        component = self._members[name]
         request.attempts += 1
         request.outstanding += 1
         request.tried[name] = request.tried.get(name, 0) + 1
@@ -505,7 +525,8 @@ class CampaignEngine:
     # -- engine internals ----------------------------------------------------------
 
     def _on_attempt(self, request: Request, name: str, started: float, event) -> None:
-        elapsed = self.sim.now - started
+        now = self.sim._now
+        elapsed = now - started
         request.outstanding -= 1
         if not event._ok:
             self.failed_work += request.work
@@ -514,7 +535,7 @@ class CampaignEngine:
         self.completed_work += request.work
         claimed = not request.resolved
         if claimed:
-            self._resolve(request, self.sim.now - request.submitted_at)
+            self._resolve(request, now - request.submitted_at)
         else:
             self.wasted_work += request.work
         self.policy.on_attempt_completed(request, name, elapsed, claimed)
@@ -532,7 +553,7 @@ class CampaignEngine:
             index=index,
             work=self.workload.work,
             group=self.groups[index % len(self.groups)],
-            submitted_at=self.sim.now,
+            submitted_at=self.sim._now,
         )
         self.requests.append(request)
         self.policy.start(request)
@@ -595,8 +616,8 @@ class CampaignEngine:
             unresolved_requests=unresolved,
             failed_requests=self.failed_requests,
             server_work={
-                name: self.system.components.get(name).work_completed
-                for name in self.component_names()
+                name: member.work_completed
+                for name, member in self._members.items()
             },
         )
         return outcome

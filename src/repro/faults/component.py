@@ -40,7 +40,6 @@ class DegradableServer(DegradableMixin):
         self.sim = sim
         self._server = RateServer(sim, nominal_rate, name=name)
         self._init_degradable(name, nominal_rate)
-        self._inflight: list[Event] = []
         self.attach_spec(spec if spec is not None else PerformanceSpec(nominal_rate))
         register_component(sim, self)
 
@@ -61,9 +60,7 @@ class DegradableServer(DegradableMixin):
         """
         if self.stopped:
             raise ComponentStopped(self.name)
-        event = self._server.submit(size, tag=tag)
-        self._inflight.append(event)
-        event.callbacks.append(self._forget)
+        event = self._server.submit(size, tag)
         # Completion telemetry is pay-for-what-you-use: the callback is
         # only attached when a bus is bound AND someone listens to us.
         telemetry = self._telemetry
@@ -82,26 +79,26 @@ class DegradableServer(DegradableMixin):
         stats = event._value
         self._telemetry.completion(self.name, stats.size, stats.service_time)
 
-    def _forget(self, event: Event) -> None:
-        """Drop a settled job from the in-flight list (idempotent)."""
-        if event in self._inflight:
-            self._inflight.remove(event)
-
     def stop(self, cause: str = "fail-stop") -> None:
         """Fail-stop: halt, fail all in-flight work detectably."""
         already = self.stopped
         super().stop(cause)
         if already:
             return
-        # Fail queued/in-service jobs so waiters detect the failure rather
-        # than hanging forever on a rate-0 server.
-        for event in list(self._inflight):
-            if not event.triggered:
-                event.fail(ComponentStopped(self.name))
-                # Pre-defuse: waiters still receive the exception, but a
-                # fire-and-forget write does not crash the simulation.
-                event._defused = True
-        self._inflight.clear()
+        # Fail the in-service job, then the queued ones, so waiters detect
+        # the failure rather than hanging forever on a rate-0 server.  The
+        # server is FIFO, so this is submission order; a job that already
+        # completed this instant has left both and keeps its success.
+        server = self._server
+        jobs = list(server._queue)
+        if server._current is not None:
+            jobs.insert(0, server._current)
+        for job in jobs:
+            event = job.event
+            event.fail(ComponentStopped(self.name))
+            # Pre-defuse: waiters still receive the exception, but a
+            # fire-and-forget write does not crash the simulation.
+            event._defused = True
 
     def drain(self) -> Event:
         """Event firing when the server next goes idle."""
@@ -118,6 +115,12 @@ class DegradableServer(DegradableMixin):
     def busy(self) -> bool:
         """True while a job is in service."""
         return self._server.busy
+
+    @property
+    def backlog(self) -> int:
+        """Jobs queued plus the one in service (the routing depth)."""
+        server = self._server
+        return len(server._queue) + (server._current is not None)
 
     def completion_eta(self) -> Optional[float]:
         """When the in-service job completes (None if idle or frozen)."""

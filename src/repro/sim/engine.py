@@ -220,10 +220,22 @@ class Callback(Timeout):
     __slots__ = ("_fn", "_args")
 
     def __init__(self, sim: "Simulator", delay: float, fn: _CallableT, args: tuple):
-        super().__init__(sim, delay)
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        # Inlined Timeout.__init__, like Timeout inlines Event's: every
+        # server completion and policy timer is one of these.  The heap
+        # key is the one Timeout would push.
+        self.sim = sim
+        self.callbacks = [self._run]
+        self._defused = False
+        self.delay = delay
+        self._cancelled = False
+        self._ok = True
+        self._value = None
         self._fn = fn
         self._args = args
-        self.callbacks.append(self._run)
+        sim._seq += 1
+        _heappush(sim._queue, (sim._now + delay, PRIORITY_NORMAL, sim._seq, self))
 
     def _run(self, _event: Event) -> None:
         self._fn(*self._args)

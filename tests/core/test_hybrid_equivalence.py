@@ -20,6 +20,7 @@ import pytest
 from repro.core.hybrid import (
     HybridInfeasible,
     HybridRunner,
+    _zero_queue_probe,
     run_scenario_hybrid,
     scale_scenario,
     scale_workload,
@@ -195,10 +196,43 @@ class TestRouteProbeShadow:
         runner.policy = RaisingPolicy()
         with pytest.raises(Boom):
             runner._compute_routes()
-        # The instance-attribute shadow is gone: the name resolves back
-        # to the class method, which reads real queue state again.
+        # The probe's zero-queue flag is cleared and nothing shadows the
+        # method: queue_depth reads real queue state again.
+        assert engine.zero_queues is False
         assert "queue_depth" not in vars(engine)
         assert engine.queue_depth == original
+        member = engine.groups[0][0]
+        runner.system.components.get(member).submit(workload.work)
+        assert engine.queue_depth(member) == 1
+
+    def test_probe_zeroes_depth_inside_pick_candidate(self):
+        """The default pick honours the probe; outside it, queues count.
+
+        ``pick_candidate`` reads member backlogs directly, not through
+        ``queue_depth``; the probe must still reach it, or a transient
+        residual at a window close would steer every fluid arrival.
+        """
+        workload = campaign.WORKLOADS["raid10"]
+        scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
+        runner = HybridRunner(workload, scenario, "fixed-timeout")
+        engine = runner.engine
+        first, second = engine.groups[0]
+        assert first < second
+        loaded = runner.system.components.get(first)
+        loaded.submit(workload.work)
+        loaded.submit(workload.work)
+        request = campaign.Request(index=-1, work=workload.work,
+                                   group=(first, second), submitted_at=0.0)
+        # Real depths: (0, 2, first) loses to (0, 0, second).
+        assert engine.pick_candidate(request) == second
+        with _zero_queue_probe(engine):
+            # Probed depths: (0, 0, first) beats (0, 0, second) by name.
+            assert engine.queue_depth(first) == 0
+            assert engine.pick_candidate(request) == first
+        assert engine.pick_candidate(request) == second
+        # The runner's own probe routes the loaded group to ``first``.
+        assert runner._compute_routes()[0] == first
+        assert engine.queue_depth(first) == 2
 
 
 class TestUnannouncedRateChange:

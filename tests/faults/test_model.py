@@ -138,6 +138,44 @@ class TestFailStop:
         sim.run()
         assert caught == ["disk0"]
 
+    def test_stop_fails_service_then_queue_and_spares_a_same_instant_success(self):
+        """stop() fails the in-service job, then the queue, in submission order.
+
+        Job ``a`` completes at t=5 and the stop lands at the same instant,
+        after ``a``'s completion timer but before its success is
+        processed: ``a`` keeps its success; ``b`` (now in service) and
+        ``c`` (queued) fail, in that order, pre-defused so nobody has to
+        wait on them.
+        """
+        sim = Simulator()
+        server = DegradableServer(sim, "disk0", 1.0)
+        a = server.submit(5.0)
+        b = server.submit(5.0)
+        c = server.submit(5.0)
+        seen = []
+        for tag, event in (("a", a), ("b", b), ("c", c)):
+            event.callbacks.append(lambda ev, tag=tag: seen.append((tag, ev.ok)))
+        states = {}
+
+        def stop_and_look():
+            server.stop()
+            states.update(
+                (tag, (ev.triggered, ev.ok, ev._defused))
+                for tag, ev in (("a", a), ("b", b), ("c", c))
+            )
+
+        sim.call_at(5.0, stop_and_look)
+        sim.run()
+        assert states == {
+            "a": (True, True, False),
+            "b": (True, False, True),
+            "c": (True, False, True),
+        }
+        assert seen == [("a", True), ("b", False), ("c", False)]
+        assert isinstance(b.value, ComponentStopped)
+        assert isinstance(c.value, ComponentStopped)
+        assert server.jobs_completed == 1
+
     def test_double_stop_is_idempotent(self):
         sim = Simulator()
         server = DegradableServer(sim, "disk0", 10.0)
