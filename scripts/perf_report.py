@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Time the benchmark suites and emit JSON reports.
 
-Eight suites, selected with ``--suite`` (or ``all`` to run every one):
+Seven suites, selected with ``--suite`` (or ``all`` to run every one):
 
 * ``engine`` (default) -- the kernel microbenchmarks, timed as
   baseline-vs-after (``BENCH_engine.json``);
@@ -19,11 +19,6 @@ Eight suites, selected with ``--suite`` (or ``all`` to run every one):
   on overlap sizes both engines can run (outcomes must match; the
   recorded speedup must clear 20x) plus hybrid-only timings at a million
   concurrent clients (``BENCH_hybrid.json``);
-* ``batch`` -- the seed-batch runner: scalar per-seed e06 vs the same
-  seeds as structure-of-arrays lanes of one
-  ``repro.sim.batch.SeedBatchRunner``, cold, at the report size and
-  scaled up (tables must be byte-identical; the report-size speedup must
-  clear 5x) (``BENCH_batch.json``);
 * ``sweep`` -- the generative scenario sweep: 100 machine-generated
   scenarios on each engine, oracle-clean with a byte-identical rerun
   digest (``BENCH_sweep.json``);
@@ -56,9 +51,6 @@ Usage (from the repo root)::
 
     # Regenerate the hybrid-engine numbers (discrete vs fluid/discrete):
     PYTHONPATH=src python scripts/perf_report.py --suite hybrid
-
-    # Regenerate the seed-batch numbers (scalar vs batched e06):
-    PYTHONPATH=src python scripts/perf_report.py --suite batch
 
     # Regenerate the soak RSS-flatness numbers:
     PYTHONPATH=src python scripts/perf_report.py --suite soak
@@ -377,89 +369,6 @@ def run_hybrid_suite(args) -> int:
               file=sys.stderr)
         return 1
     return 0 if (meets_target and saturated_meets) else 1
-
-
-def run_batch_suite(args) -> int:
-    """Time e06's seed-batch path against its scalar per-seed path.
-
-    The same multi-seed workload runs both ways cold in one process:
-    scalar (one simulation per seed, the report's default path) and
-    batched (every seed a structure-of-arrays lane of one
-    ``SeedBatchRunner``).  The rendered tables must be byte-identical at
-    every size -- the batch path is a pure wall-clock lever -- and the
-    report-size row's speedup must clear 5x.  Writes ``BENCH_batch.json``;
-    smoke mode checks equivalence on a small run with no timing claims.
-    """
-    from repro.experiments.e06_variance import run as scalar_run
-    from repro.experiments.e06_variance import run_batch
-
-    if args.smoke:
-        kwargs = dict(n_runs=12, nblocks=8)
-        if scalar_run(**kwargs).render() != run_batch(**kwargs).render():
-            print("batch suite smoke FAILED: scalar/batch table mismatch",
-                  file=sys.stderr)
-            return 1
-        print("  batch suite: ok")
-        return 0
-
-    rows = {}
-    ok = True
-    print("timing scalar vs seed-batch e06 (same seeds, cold, "
-          f"best of {args.repeats}+):")
-    for label, n_runs in (("report_n60", 60), ("scaled_n600", 600),
-                          ("scaled_n2400", 2400)):
-        # Small rows finish in ~10 ms, where scheduler noise swamps a
-        # handful of repeats; scale the repeat count down-size so every
-        # row gets comparable total timing volume.
-        repeats = args.repeats * max(1, min(8, 2400 // n_runs))
-        scalar_s = batch_s = float("inf")
-        # Phase-grouped (all scalar repeats, then all batch repeats):
-        # interleaving lets the 50x-larger scalar pass evict the batch
-        # path's working set between every repeat, which biases best-of
-        # against the smaller side.
-        for _ in range(repeats):
-            start = time.perf_counter()
-            scalar_table = scalar_run(n_runs=n_runs)
-            scalar_s = min(scalar_s, time.perf_counter() - start)
-        for _ in range(repeats):
-            start = time.perf_counter()
-            batch_table = run_batch(n_runs=n_runs)
-            batch_s = min(batch_s, time.perf_counter() - start)
-        identical = scalar_table.render() == batch_table.render()
-        ok = ok and identical
-        rows[label] = {
-            "n_runs": n_runs,
-            "scalar_seconds": scalar_s,
-            "batch_seconds": batch_s,
-            "speedup": scalar_s / batch_s if batch_s else float("inf"),
-            "table_identical": identical,
-        }
-        print(f"  n={n_runs:<5d} scalar {scalar_s * 1e3:8.2f} ms  batch "
-              f"{batch_s * 1e3:8.2f} ms  {rows[label]['speedup']:6.2f}x  "
-              f"identical={identical}")
-
-    report_speedup = rows["report_n60"]["speedup"]
-    meets_target = report_speedup >= 5.0
-    payload = {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "repeats": args.repeats,
-        "experiment": "e06",
-        "rows": rows,
-        "report_speedup": report_speedup,
-        "speedup_target": 5.0,
-        "meets_target": meets_target,
-    }
-    out = args.out or "BENCH_batch.json"
-    Path(out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
-    print(f"  report-size speedup     {report_speedup:6.2f}x "
-          f"(target 5x: {'met' if meets_target else 'MISSED'})")
-    if not ok:
-        print("batch suite FAILED: scalar/batch table mismatch",
-              file=sys.stderr)
-        return 1
-    return 0 if meets_target else 1
 
 
 def run_sweep_suite(args) -> int:
@@ -794,7 +703,6 @@ SUITES = {
     "models": run_models_suite,
     "campaign": run_campaign_suite,
     "hybrid": run_hybrid_suite,
-    "batch": run_batch_suite,
     "sweep": run_sweep_suite,
     "soak": run_soak_suite,
 }
@@ -809,8 +717,7 @@ def main(argv=None) -> int:
                              "regeneration timings, component-model "
                              "reference-vs-analytic timings, fault-campaign "
                              "throughput + determinism, hybrid-engine "
-                             "discrete-vs-fluid timings, seed-batch "
-                             "scalar-vs-batched timings, or all of them")
+                             "discrete-vs-fluid timings, or all of them")
     parser.add_argument("--save", metavar="PATH", help="write raw timings to PATH")
     parser.add_argument("--baseline", metavar="PATH", help="baseline timings to compare against")
     parser.add_argument("--out", metavar="PATH", default=None,

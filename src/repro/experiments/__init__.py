@@ -53,10 +53,8 @@ from . import (
 
 __all__ = [
     "ALL_EXPERIMENTS",
-    "BATCH_EXPERIMENTS",
     "experiment_substrates",
     "run_all",
-    "run_batched",
 ]
 
 ALL_EXPERIMENTS: Dict[str, Callable[..., Table]] = {
@@ -97,36 +95,6 @@ ALL_EXPERIMENTS: Dict[str, Callable[..., Table]] = {
     "a6": a6_rebuild.run,
     "a7": a7_hedging.run,
 }
-
-
-# Experiments whose multi-seed sweeps can run as structure-of-arrays
-# lanes of one repro.sim.batch.SeedBatchRunner.  Each entry produces a
-# table bit-identical to its ALL_EXPERIMENTS counterpart (pinned by
-# tests/experiments/test_batch_equivalence.py), so callers may substitute
-# freely -- including through shared result caches.
-BATCH_EXPERIMENTS: Dict[str, Callable[..., Table]] = {
-    "e06": e06_variance.run_batch,
-    "e14": e14_availability.run_batch,
-}
-
-
-def run_batched(experiment: str, **kwargs) -> Table:
-    """Regenerate ``experiment`` through its vectorized seed-batch path.
-
-    Raises :class:`~repro.sim.batch.BatchInfeasible` for experiments with
-    no registered batch counterpart, mirroring how the hybrid engine
-    refuses scenarios it cannot run exactly -- callers catch it and fall
-    back to the scalar path.
-    """
-    from ..sim.batch import BatchInfeasible
-
-    runner = BATCH_EXPERIMENTS.get(experiment)
-    if runner is None:
-        raise BatchInfeasible(
-            f"experiment {experiment!r} has no seed-batch path "
-            f"(batchable: {', '.join(BATCH_EXPERIMENTS) or 'none'})"
-        )
-    return runner(**kwargs)
 
 
 def experiment_substrates() -> Dict[str, str]:

@@ -17,27 +17,21 @@ to execute in parallel workers.
 
 from __future__ import annotations
 
-import math
 import random
 from functools import partial
 from typing import Optional
-
-from typing import Iterator, List, Tuple
 
 from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..core.system import System
 from ..faults.distributions import Exponential, Uniform
 from ..faults.library import TransientStutter
-from ..sim import _native
-from ..sim.batch import LaneProgram, SeedBatchRunner
-from ..sim.mt import MersenneBank
-from ..sim.random import derive_seed, derive_seeds
+from ..sim.random import derive_seed
 from ..storage.disk import Disk, DiskParams
 from ..storage.geometry import uniform_geometry
 from ..storage.workload import sequential_scan
 
-__all__ = ["run", "run_batch"]
+__all__ = ["run"]
 
 
 def _one_benchmark(
@@ -70,142 +64,6 @@ def _one_benchmark(
     return result.bandwidth_mb_s
 
 
-def _stutter_edges(
-    rng: "random.Random", mean_gap: float, mean_duration: float
-) -> Iterator[Tuple[float, float]]:
-    """Replay one run's :class:`TransientStutter` as batch rate edges.
-
-    Draw order and heap-time arithmetic mirror
-    ``TransientStutter._drive`` exactly -- gap, factor, duration per
-    episode, absolute times accumulated by float addition of the resumed
-    simulation time -- so the edge stream is bit-identical to what the
-    injector would apply to the scalar disk (nominal rate 1.0, so the
-    episode's effective rate is the factor itself).
-    """
-    t = 0.0
-    while True:
-        t = t + rng.expovariate(1.0 / mean_gap)
-        factor = rng.uniform(0.1, 0.3)
-        yield (t, factor)
-        t = t + rng.expovariate(1.0 / mean_duration)
-        yield (t, 1.0)
-
-
-# Doubles prefetched per fault lane for the inlined edge generator; a
-# full MT19937 block is 312, but typical lanes consume ~10, and the bulk
-# ``tolist`` cost grows with the width.  16 episodes reach t ~ 300 s --
-# far past any lane's finish -- so the refetch branch is cold.
-_EDGE_PREFETCH = 48
-
-
-def _stutter_edges_fast(
-    bank: MersenneBank,
-    gen: int,
-    vals: List[float],
-    mean_gap: float,
-    mean_duration: float,
-) -> Iterator[Tuple[float, float]]:
-    """:func:`_stutter_edges` with the draw formulas inlined.
-
-    Same arithmetic, op for op, as ``_stutter_edges`` over a
-    ``BankRandom`` stream -- ``expovariate(lambd) = -log(1 - u) / lambd``,
-    ``uniform(a, b) = a + (b - a) * u`` -- but reading prefetched raw
-    doubles (``vals[j]`` is exactly the ``random()`` output the adapter
-    would return) with no per-draw method dispatch.  The kernel's
-    pre-start fast-forward pulls a few edges from every lane in plain
-    Python, so dispatch there is the dominant per-edge cost.
-    """
-    lam_gap = 1.0 / mean_gap
-    lam_dur = 1.0 / mean_duration
-    log = math.log
-    t = 0.0
-    j = 0
-    while True:
-        if j + 3 > len(vals):
-            vals = bank.doubles(gen, 2 * len(vals))
-        t = t + -log(1.0 - vals[j]) / lam_gap
-        factor = 0.1 + (0.3 - 0.1) * vals[j + 1]
-        yield (t, factor)
-        t = t + -log(1.0 - vals[j + 2]) / lam_dur
-        j += 3
-        yield (t, 1.0)
-
-
-def _batch_bandwidths(
-    n_runs: int,
-    nblocks: int,
-    stutter_mean_gap: float,
-    stutter_mean_duration: float,
-    seed: int,
-) -> List[float]:
-    """All ``n_runs`` bandwidths in one vectorized seed-batch run.
-
-    Each run becomes one :class:`~repro.sim.batch.LaneProgram`: the scan's
-    chunked reads (sizes from the *same* ``Disk.service_time`` arithmetic
-    the scalar path uses), started at the run's phase draw, under the
-    run's replayed stutter edge stream.  Results compare ``==`` against
-    :func:`_one_benchmark` -- see
-    ``tests/experiments/test_batch_equivalence.py``.
-    """
-    sim = System()
-    params = DiskParams(rpm=5400, avg_seek=0.011, block_size_mb=0.5)
-    disk = Disk(sim, "vesta", geometry=uniform_geometry(2_000_000, 5.5), params=params)
-    # sequential_scan's chunking: first request pays positioning (head
-    # unknown), every later chunk continues at the head (sequential).
-    works: List[float] = []
-    at, left = 0, nblocks
-    while left > 0:
-        span = min(64, left)
-        works.append(disk.service_time(at, span, sequential_hint=bool(works)))
-        at += span
-        left -= span
-
-    # Two RNG streams per lane, same derivation as the scalar path.  When
-    # the native seeder is available, all 2*n_runs MT19937 states are
-    # built in one MersenneBank call (the per-lane random.Random
-    # construction is otherwise the dominant batch cost); the bank's
-    # streams replay random.Random bit for bit, so either source yields
-    # the same lanes.
-    phase_seeds = derive_seeds(seed, "e06/phase/", n_runs)
-    fault_seeds = derive_seeds(seed, "e06/fault/", n_runs)
-    high = 2.0 * (stutter_mean_gap + stutter_mean_duration)
-    if _native.load() is not None:
-        # emit=_EDGE_PREFETCH: phase lanes draw 1 double, fault lanes at
-        # most the prefetch before the (cold) completion path kicks in.
-        bank = MersenneBank(phase_seeds + fault_seeds, emit=_EDGE_PREFETCH)
-        # The phase stream contributes exactly one uniform(0, high) draw;
-        # 0.0 + high * r elementwise in float64 is bit-identical to
-        # CPython's uniform formula, so take it straight off the bank.
-        starts = (0.0 + high * bank.doubles_array(1)[:n_runs, 0]).tolist()
-        # Fault lanes skip the BankRandom adapters entirely: one bulk
-        # tolist of raw doubles feeds the inlined edge generator.
-        rows = bank.doubles_array(_EDGE_PREFETCH)[n_runs:].tolist()
-        edge_iters = [
-            _stutter_edges_fast(
-                bank, n_runs + i, rows[i], stutter_mean_gap, stutter_mean_duration
-            )
-            for i in range(n_runs)
-        ]
-    else:
-        starts = [random.Random(s).uniform(0.0, high) for s in phase_seeds]
-        edge_iters = [
-            _stutter_edges(random.Random(s), stutter_mean_gap, stutter_mean_duration)
-            for s in fault_seeds
-        ]
-
-    lanes = []
-    for i in range(n_runs):
-        lanes.append(
-            LaneProgram(start=starts[i], works=works, edges=edge_iters[i])
-        )
-    result = SeedBatchRunner(lanes).run()
-    mb = nblocks * params.block_size_mb
-    return [
-        mb / duration if duration > 0 else float("inf")
-        for duration in result.makespan.tolist()
-    ]
-
-
 def run(
     n_runs: int = 60,
     nblocks: int = 22,
@@ -213,7 +71,6 @@ def run(
     stutter_mean_duration: float = 4.0,
     seed: int = 11,
     workers: Optional[int] = None,
-    batch: bool = False,
 ) -> Table:
     """Regenerate the E6 table: benchmark-time distribution vs peak.
 
@@ -222,24 +79,16 @@ def run(
     while an unlucky run sits mostly inside one and lands at the
     episode's rate factor -- the paper's 15-20%-of-peak tail.  The runs
     are independent simulations; ``workers`` fans them out over a
-    process pool (``None`` = serial, same output), while ``batch=True``
-    runs them all as structure-of-arrays lanes of one
-    :class:`~repro.sim.batch.SeedBatchRunner` (same output bit for bit,
-    one process).
+    process pool (``None`` = serial, same output).
     """
-    if batch:
-        bandwidths = _batch_bandwidths(
-            n_runs, nblocks, stutter_mean_gap, stutter_mean_duration, seed
-        )
-    else:
-        run_fn = partial(
-            _one_benchmark,
-            nblocks=nblocks,
-            stutter_mean_gap=stutter_mean_gap,
-            stutter_mean_duration=stutter_mean_duration,
-            seed=seed,
-        )
-        bandwidths = [b for _, b in parallel_sweep(range(n_runs), run_fn, workers=workers)]
+    run_fn = partial(
+        _one_benchmark,
+        nblocks=nblocks,
+        stutter_mean_gap=stutter_mean_gap,
+        stutter_mean_duration=stutter_mean_duration,
+        seed=seed,
+    )
+    bandwidths = [b for _, b in parallel_sweep(range(n_runs), run_fn, workers=workers)]
     peak = max(bandwidths)
     fractions = sorted(b / peak for b in bandwidths)
     near_peak = sum(1 for f in fractions if f >= 0.9) / len(fractions)
@@ -256,7 +105,3 @@ def run(
     table.add_row("share of runs within 10% of peak", near_peak)
     return table
 
-
-def run_batch(**kwargs) -> Table:
-    """E6 through the vectorized seed-batch path (bit-identical table)."""
-    return run(batch=True, **kwargs)

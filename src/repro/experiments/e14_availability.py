@@ -15,20 +15,13 @@ One server pool, one mid-run performance fault, four routing designs:
 * ``weighted``     -- fail-stutter: least expected delay by observed rate;
 * ``weighted+T``   -- fail-stutter plus the correctness watchdog, for the
   stall case where the faulty server never completes anything.
-
-The round-robin row is also reducible to the seed-batch engine
-(``run(batch=True)`` / :func:`run_batch`): modular routing never
-consults server state while servers merely stutter (stall is not stop),
-so request ``k`` lands on server ``k % n`` unconditionally and each
-server is an independent open-arrival FIFO lane.  The load-aware rows
-route on evolving queue/rate estimates and stay on the scalar engine.
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
@@ -41,10 +34,9 @@ from ..core.system import (
 )
 from ..faults.component import DegradableServer
 from ..faults.spec import PerformanceSpec
-from ..sim.batch import LaneProgram, SeedBatchRunner
 from ..sim.metrics import AvailabilityMeter
 
-__all__ = ["run", "run_batch"]
+__all__ = ["run"]
 
 ROUTERS = {
     "round-robin": RoundRobinRouter,
@@ -110,65 +102,6 @@ def _run_policy(
     return meter.availability()
 
 
-def _batch_round_robin(
-    faults: Tuple[Optional[float], ...],
-    n_servers: int,
-    n_requests: int,
-    arrival_gap: float,
-    slo: float,
-    seed: int,
-) -> Dict[Optional[float], float]:
-    """Every round-robin (fault,) cell as lanes of one batched run.
-
-    Replays the scalar harness op for op: arrival ``k`` is the chained
-    ``expovariate`` prefix sum (first request at t=0), request ``k``
-    routes to server ``k % n_servers``, the fault lands on the last
-    server a fifth of the way through the stream, and the run truncates
-    at the same horizon.  Each (fault, server) pair is one open-arrival
-    lane; the availability counters fold per fault group.
-    """
-    rng = random.Random(seed)
-    times = []
-    t = 0.0
-    for __ in range(n_requests):
-        times.append(t)
-        t += rng.expovariate(1.0 / arrival_gap)
-    fault_at = n_requests * arrival_gap / 5
-    horizon = n_requests * arrival_gap * 10
-    nominal = 10.0
-
-    lanes = []
-    groups = []
-    for fault in faults:
-        first = len(lanes)
-        for i in range(n_servers):
-            arr = times[i::n_servers]
-            if not arr:
-                continue
-            edges = iter(())
-            if fault is not None and i == n_servers - 1:
-                edges = iter(((fault_at, nominal * fault),))
-            lanes.append(
-                LaneProgram(
-                    start=arr[0],
-                    works=[1.0] * len(arr),
-                    edges=edges,
-                    rate=nominal,
-                    arrivals=arr,
-                )
-            )
-        groups.append((fault, first, len(lanes)))
-
-    result = SeedBatchRunner(lanes, slo=slo, horizon=horizon).run()
-    meter = result.availability
-    out: Dict[Optional[float], float] = {}
-    for fault, lo, hi in groups:
-        offered = int(meter.offered[lo:hi].sum())
-        within = int(meter.within_slo[lo:hi].sum())
-        out[fault] = 1.0 if offered == 0 else within / offered
-    return out
-
-
 def _availability_point(
     point: Tuple[str, Optional[float]],
     n_servers: int,
@@ -189,16 +122,12 @@ def run(
     slo: float = 0.5,
     seed: int = 17,
     workers: Optional[int] = None,
-    batch: bool = False,
 ) -> Table:
     """Regenerate the E14 table: policy x fault availability.
 
     Every (policy, fault) cell is an independent simulation seeded from
     ``seed``, so ``workers`` fans the grid out over a process pool
-    without changing the table (``None`` = serial).  ``batch=True``
-    runs the round-robin row on the vectorized seed-batch engine
-    (bit-identical, see :func:`_batch_round_robin`); the load-aware
-    rows stay scalar either way.
+    without changing the table (``None`` = serial).
     """
     table = Table(
         f"E14: availability (SLO {slo}s) of a {n_servers}-server pool, "
@@ -209,12 +138,7 @@ def run(
     )
     policies = ("round-robin", "jsq", "weighted", "weighted+T")
     faults = (None, 0.05, 0.0)
-    points = [
-        (policy, fault)
-        for policy in policies
-        for fault in faults
-        if not (batch and policy == "round-robin")
-    ]
+    points = [(policy, fault) for policy in policies for fault in faults]
     point_fn = partial(
         _availability_point,
         n_servers=n_servers,
@@ -224,17 +148,7 @@ def run(
         seed=seed,
     )
     results = dict(parallel_sweep(points, point_fn, workers=workers))
-    if batch:
-        batched = _batch_round_robin(
-            faults, n_servers, n_requests, arrival_gap, slo, seed
-        )
-        for fault in faults:
-            results[("round-robin", fault)] = batched[fault]
     for policy in policies:
         table.add_row(policy, *(results[(policy, fault)] for fault in faults))
     return table
 
-
-def run_batch(**kwargs) -> Table:
-    """:func:`run` with the batched round-robin row (same table)."""
-    return run(batch=True, **kwargs)

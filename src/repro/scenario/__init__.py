@@ -28,7 +28,7 @@ compiled from it.
   rolled up into one scorecard with a replay-stable digest.
 """
 
-from .compile import BATCH_REDUCTIONS, CompiledScenario, compile_family, compile_spec
+from .compile import CompiledScenario, compile_family, compile_spec
 from .generate import SweepBounds, generate_spec, generate_specs
 from .spec import (
     ArrivalSchedule,
@@ -45,7 +45,6 @@ from .sweep import SweepResult, run_sweep
 
 __all__ = [
     "ArrivalSchedule",
-    "BATCH_REDUCTIONS",
     "CompiledScenario",
     "Draw",
     "FamilySpec",

@@ -90,9 +90,10 @@ class StreamingMoments:
         Chan et al.'s parallel-variance combine: the result is as if
         every observation behind ``other`` had been pushed here.  Count,
         min and max are exact; mean and variance agree with a single
-        combined stream to float rounding (the batch equivalence tests
-        pin 1e-9 against exact recomputation).  Returns ``self`` so lane
-        folds chain: ``reduce(lambda a, b: a.merge(b), lanes)``.
+        combined stream to float rounding (``tests/sim/test_lane_merge.py``
+        pins 1e-9 against exact recomputation).  Returns ``self`` so
+        folds over soak windows chain:
+        ``reduce(lambda a, b: a.merge(b), windows)``.
         """
         if other.count == 0:
             return self
@@ -442,21 +443,21 @@ class P2Quantile:
 
     @classmethod
     def combine(cls, estimators: Sequence["P2Quantile"]) -> float:
-        """Lane-combine fallback: one q-quantile over several estimators.
+        """One q-quantile over several estimators.
 
         Exact merging of P² sketches is impossible (markers discard the
-        samples), so this is tiered the way the batch engine needs:
+        samples), so this is tiered:
 
-        * If every lane still retains its samples (< 5 observations
+        * If every estimator still retains its samples (< 5 observations
           each), the pooled retained samples give the **exact** combined
           quantile, same interpolation as the exact recorder.
-        * Otherwise the lanes' piecewise-linear marker CDFs are mixed
+        * Otherwise the estimators' piecewise-linear marker CDFs are mixed
           with count weights and the mixture is inverted at ``q`` —
           approximate, but monotone in ``q`` and bounded by the pooled
           extremes (properties pinned in ``tests/sim/test_lane_merge.py``).
 
         All estimators must track the same ``q``.  Returns 0.0 when no
-        lane has observations (matching :meth:`value` on empty).
+        estimator has observations (matching :meth:`value` on empty).
         """
         qs = {e.q for e in estimators}
         if len(qs) > 1:

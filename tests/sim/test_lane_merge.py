@@ -1,11 +1,11 @@
-"""Lane-combine operators: StreamingMoments.merge and P2Quantile.combine.
+"""Combine operators: StreamingMoments.merge and P2Quantile.combine.
 
-These are what fold per-lane batch metrics into one scorecard.  The
-contract: merge is *as if* every observation had been pushed into one
-recorder -- count/min/max exact, mean/variance to float rounding (1e-9
-against exact recomputation) -- and the quantile combine is exact while
-samples are retained, bounded and monotone once estimators go into
-marker mode.
+``merge`` is what folds soak windows' moments into the rolling and
+whole-run statistics.  The contract: merge is *as if* every observation
+had been pushed into one recorder -- count/min/max exact, mean/variance
+to float rounding (1e-9 against exact recomputation) -- and the quantile
+combine is exact while samples are retained, bounded and monotone once
+estimators go into marker mode.
 """
 
 import math

@@ -99,16 +99,6 @@ def test_bench_hybrid_artifact_has_saturated_phase():
         assert entry["policy"] == "no-mitigation"
 
 
-def test_perf_report_batch_suite_smoke_mode():
-    """The batch suite runs one small scalar-vs-batched e06 pass and
-    verifies the rendered tables are byte-identical."""
-    result = _run(
-        [sys.executable, "scripts/perf_report.py", "--suite", "batch", "--smoke"]
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "batch suite: ok" in result.stdout
-
-
 def test_perf_report_soak_suite_smoke_mode():
     """The soak suite records a tiny soak trace, replays it, and verifies
     it byte-for-byte (the RSS gate itself only runs in full mode)."""
